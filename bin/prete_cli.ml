@@ -37,25 +37,15 @@ let domains_arg =
   in
   Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N" ~doc)
 
-(* LP engine selection: the flags set the session defaults, which every
-   solver call inherits unless a call site pins ?engine/?pricing. *)
+(* LP engine selection: the flag sets the session default, which every
+   solver call inherits unless a call site pins ?engine. *)
 let engine_conv =
   let parse s =
     match Prete_lp.Simplex.engine_of_string s with
     | Some e -> Ok e
-    | None -> Error (`Msg (Printf.sprintf "unknown LP engine %S (lu|revised|dense)" s))
+    | None -> Error (`Msg (Printf.sprintf "unknown LP engine %S (lu|dense)" s))
   in
   let print ppf e = Format.pp_print_string ppf (Prete_lp.Simplex.engine_name e) in
-  Arg.conv (parse, print)
-
-let pricing_conv =
-  let parse s =
-    match Prete_lp.Simplex.pricing_of_string s with
-    | Some p -> Ok p
-    | None ->
-      Error (`Msg (Printf.sprintf "unknown pricing rule %S (dantzig|devex|partial)" s))
-  in
-  let print ppf p = Format.pp_print_string ppf (Prete_lp.Simplex.pricing_name p) in
   Arg.conv (parse, print)
 
 let lp_term =
@@ -63,26 +53,16 @@ let lp_term =
     let doc =
       "LP engine: $(b,lu) (bounded-variable simplex over a presolved \
        model with a sparse LU basis and Forrest–Tomlin updates, the \
-       default), $(b,revised) (sparse revised simplex with an eta-file \
-       basis) or $(b,dense) (dense-tableau differential oracle)."
+       default) or $(b,dense) (dense-tableau reference for small \
+       models)."
     in
     Arg.(
       value
       & opt engine_conv !Prete_lp.Simplex.default_engine
       & info [ "lp-engine" ] ~docv:"ENGINE" ~doc)
   in
-  let pricing =
-    let doc = "Simplex pricing rule: $(b,dantzig) (default), $(b,devex) or $(b,partial)." in
-    Arg.(
-      value
-      & opt pricing_conv !Prete_lp.Simplex.default_pricing
-      & info [ "pricing" ] ~docv:"RULE" ~doc)
-  in
-  let set engine pricing =
-    Prete_lp.Simplex.default_engine := engine;
-    Prete_lp.Simplex.default_pricing := pricing
-  in
-  Term.(const set $ engine $ pricing)
+  let set engine = Prete_lp.Simplex.default_engine := engine in
+  Term.(const set $ engine)
 
 (* Evaluation commands run against a pool sized by --domains (or
    PRETE_DOMAINS), shut down when the command finishes. *)

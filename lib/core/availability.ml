@@ -186,7 +186,7 @@ let flow_affected (ts : Tunnels.t) alloc flow ~cut =
 
 (* Optimal served fractions on the surviving topology: the Oracle
    allocation and Flexile's post-convergence recomputation. *)
-let max_served ?engine ?pricing env ~demands ~cuts =
+let max_served ?engine env ~demands ~cuts =
   let ts = env.ts in
   let topo = ts.Tunnels.topo in
   let m = Lp.create () in
@@ -236,7 +236,7 @@ let max_served ?engine ?pricing env ~demands ~cuts =
       ts.Tunnels.flows
   in
   Lp.set_objective m Lp.Maximize !objective;
-  match Simplex.solve ?engine ?pricing m with
+  match Simplex.solve ?engine m with
   | Simplex.Optimal sol -> Array.map (fun s -> Simplex.value sol s) s_vars
   | Simplex.Infeasible | Simplex.Unbounded ->
     invalid_arg "Availability.max_served: LP failed (internal error)"
@@ -255,19 +255,19 @@ type plan = {
           proven optimal. *)
 }
 
-let te_solve_warm env ?deadline ?warm ?engine ?pricing ~demands ~probs
+let te_solve_warm env ?deadline ?warm ?engine ~demands ~probs
     ~(ts : Tunnels.t) () =
   let p = Te.make_problem ~ts ~demands ~probs ~beta:env.beta () in
   (* Sweeps call this hundreds of times; the relaxation start buys nothing
      measurable on these instances (the second phase dominates delivered
      quality) but triples the cost. *)
-  let sol = Te.solve ~relaxation_start:false ?deadline ?warm ?engine ?pricing p in
+  let sol = Te.solve ~relaxation_start:false ?deadline ?warm ?engine p in
   ( { p_alloc = sol.Te.alloc; p_ts = ts; p_admitted = None; p_degraded = sol.Te.degraded },
     sol.Te.basis )
 
-let admission_solve env ?deadline ?engine ?pricing ~demands ~probs () =
+let admission_solve env ?deadline ?engine ~demands ~probs () =
   let p = Te.make_problem ~ts:env.ts ~demands ~probs ~beta:env.beta () in
-  let adm = Te.solve_admission ?deadline ?engine ?pricing p in
+  let adm = Te.solve_admission ?deadline ?engine p in
   {
     p_alloc = adm.Te.adm_alloc;
     p_ts = env.ts;
@@ -275,7 +275,7 @@ let admission_solve env ?deadline ?engine ?pricing ~demands ~probs () =
     p_degraded = adm.Te.adm_degraded;
   }
 
-let ffc_alloc env ?deadline ?engine ?pricing ~demands ~k () =
+let ffc_alloc env ?deadline ?engine ~demands ~k () =
   (* Probability-oblivious full coverage of all ≤ k-cut scenarios: every
      class covered regardless of β; admission-style like FFC itself. *)
   let nf = Array.length env.model.Fiber_model.p_cut in
@@ -283,8 +283,7 @@ let ffc_alloc env ?deadline ?engine ?pricing ~demands ~k () =
   let scenarios = Scenario.normalize (Scenario.enumerate ~probs ~max_order:k ()) in
   let p = { Te.ts = env.ts; Te.demands = demands; Te.scenarios; Te.beta = 0.999999 } in
   let adm =
-    Te.solve_admission ~max_rounds:1 ~skip_unprotectable:true ?deadline ?engine
-      ?pricing p
+    Te.solve_admission ~max_rounds:1 ~skip_unprotectable:true ?deadline ?engine p
   in
   {
     p_alloc = adm.Te.adm_alloc;
@@ -312,7 +311,7 @@ let ecmp_alloc env ~demands =
    the max link utilization of the current traffic matrix; when demand
    cannot fit (u* > 1) the allocation is scaled down proportionally
    (ingress policing at the oversubscription factor). *)
-let smore_alloc env ?deadline ?engine ?pricing ~demands () =
+let smore_alloc env ?deadline ?engine ~demands () =
   let ts = env.ts in
   let topo = ts.Tunnels.topo in
   let m = Lp.create () in
@@ -339,7 +338,7 @@ let smore_alloc env ?deadline ?engine ?pricing ~demands () =
       ignore (Lp.add_constraint m terms Lp.Le 0.0))
     (Te.capacity_terms ts);
   Lp.set_objective m Lp.Minimize [ (1.0, u) ];
-  match Simplex.solve ?deadline ?engine ?pricing m with
+  match Simplex.solve ?deadline ?engine m with
   | Simplex.Optimal sol ->
     let scale = Float.min 1.0 (1.0 /. Float.max 1e-9 (Simplex.value sol u)) in
     let alloc =
@@ -350,17 +349,17 @@ let smore_alloc env ?deadline ?engine ?pricing ~demands () =
   | Simplex.Infeasible | Simplex.Unbounded ->
     invalid_arg "Availability.smore_alloc: LP failed (internal error)"
 
-let flexile_alloc env ?deadline ?engine ?pricing ~demands () =
+let flexile_alloc env ?deadline ?engine ~demands () =
   (* Reactive: optimize for the no-failure scenario only. *)
   let nf = Array.length env.model.Fiber_model.p_cut in
   let probs = Array.make nf 0.0 in
   let scenarios = Scenario.enumerate ~probs () in
   let p = { Te.ts = env.ts; Te.demands = demands; Te.scenarios; Te.beta = 0.99 } in
-  let sol = Te.solve ~relaxation_start:false ?deadline ?engine ?pricing p in
+  let sol = Te.solve ~relaxation_start:false ?deadline ?engine p in
   { p_alloc = sol.Te.alloc; p_ts = env.ts; p_admitted = None; p_degraded = sol.Te.degraded }
 
 let prete_alloc_warm env (cfg : Schemes.prete_config) ?deadline ?warm ?engine
-    ?pricing ?degr_features ~demands ~degraded () =
+    ?degr_features ~demands ~degraded () =
   let features = match degr_features with Some f -> f | None -> env.degr_events in
   let obs =
     {
@@ -381,33 +380,33 @@ let prete_alloc_warm env (cfg : Schemes.prete_config) ?deadline ?warm ?engine
         (Tunnel_update.react ~ratio:cfg.Schemes.ratio env.ts ~degraded_fiber:n ())
     | _ -> env.ts
   in
-  te_solve_warm env ?deadline ?warm ?engine ?pricing ~demands ~probs ~ts ()
+  te_solve_warm env ?deadline ?warm ?engine ~demands ~probs ~ts ()
 
 (* Warm-aware dispatch: only the PreTE scheme consumes and produces an LP
    basis today — other schemes either solve a differently-shaped LP or
    none at all, and return [None]. *)
-let plan_alloc_warm ?deadline ?warm ?engine ?pricing ?degr_features env scheme
+let plan_alloc_warm ?deadline ?warm ?engine ?degr_features env scheme
     ~demands ~degraded =
   match scheme with
   | Schemes.Ecmp -> (ecmp_alloc env ~demands, None)
-  | Schemes.Smore -> (smore_alloc env ?deadline ?engine ?pricing ~demands (), None)
-  | Schemes.Ffc k -> (ffc_alloc env ?deadline ?engine ?pricing ~demands ~k (), None)
+  | Schemes.Smore -> (smore_alloc env ?deadline ?engine ~demands (), None)
+  | Schemes.Ffc k -> (ffc_alloc env ?deadline ?engine ~demands ~k (), None)
   | Schemes.Teavar | Schemes.Arrow ->
-    ( admission_solve env ?deadline ?engine ?pricing ~demands
+    ( admission_solve env ?deadline ?engine ~demands
         ~probs:env.model.Fiber_model.p_cut (),
       None )
-  | Schemes.Flexile -> (flexile_alloc env ?deadline ?engine ?pricing ~demands (), None)
+  | Schemes.Flexile -> (flexile_alloc env ?deadline ?engine ~demands (), None)
   | Schemes.Prete cfg ->
-    prete_alloc_warm env cfg ?deadline ?warm ?engine ?pricing ?degr_features ~demands
+    prete_alloc_warm env cfg ?deadline ?warm ?engine ?degr_features ~demands
       ~degraded ()
   | Schemes.Oracle ->
     (* The oracle allocates per cut outcome; the "plan" here is unused
        (handled specially in [availability]). *)
     (ecmp_alloc env ~demands, None)
 
-let plan_alloc ?deadline ?engine ?pricing ?degr_features env scheme ~demands ~degraded =
+let plan_alloc ?deadline ?engine ?degr_features env scheme ~demands ~degraded =
   fst
-    (plan_alloc_warm ?deadline ?engine ?pricing ?degr_features env scheme ~demands
+    (plan_alloc_warm ?deadline ?engine ?degr_features env scheme ~demands
        ~degraded)
 
 (* --------------------------------------------------------------------- *)

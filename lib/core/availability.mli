@@ -120,7 +120,6 @@ module Internal : sig
   val plan_alloc :
     ?deadline:float ->
     ?engine:Prete_lp.Simplex.engine ->
-    ?pricing:Prete_lp.Simplex.pricing ->
     ?degr_features:Prete_optics.Hazard.features array ->
     env ->
     Schemes.t ->
@@ -137,7 +136,6 @@ module Internal : sig
     ?deadline:float ->
     ?warm:Prete_lp.Simplex.basis ->
     ?engine:Prete_lp.Simplex.engine ->
-    ?pricing:Prete_lp.Simplex.pricing ->
     ?degr_features:Prete_optics.Hazard.features array ->
     env ->
     Schemes.t ->
@@ -152,7 +150,6 @@ module Internal : sig
 
   val max_served :
     ?engine:Prete_lp.Simplex.engine ->
-    ?pricing:Prete_lp.Simplex.pricing ->
     env ->
     demands:float array ->
     cuts:int list ->

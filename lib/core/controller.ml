@@ -137,15 +137,12 @@ let plan_key ~ts ~demands ?classes ?probs ?(salt = []) () =
     Array.iter addf probs);
   List.iter add salt;
   (* Cached plans are LP vertices: optimal under any engine, but distinct
-     engines/pricing rules may land on different degenerate vertices.  Key
-     on the session defaults so an A/B engine comparison never silently
-     serves one engine's plan to the other's run. *)
+     engines may land on different degenerate vertices.  Key on the
+     session default so an A/B engine comparison never silently serves
+     one engine's plan to the other's run. *)
   String.iter
     (fun c -> add (Char.code c))
     (Prete_lp.Simplex.engine_name !Prete_lp.Simplex.default_engine);
-  String.iter
-    (fun c -> add (Char.code c))
-    (Prete_lp.Simplex.pricing_name !Prete_lp.Simplex.default_pricing);
   !h
 
 type 'p cache = {

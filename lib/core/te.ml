@@ -112,7 +112,7 @@ let add_capacity_rows p m a_vars =
 (* Fixed-δ LP in eliminated form: min Φ                                 *)
 (* ------------------------------------------------------------------ *)
 
-let solve_fixed_delta ?deadline ?warm ?engine ?pricing ~st p classes delta =
+let solve_fixed_delta ?deadline ?warm ?engine ~st p classes delta =
   let m = Lp.create () in
   let a_vars = add_alloc_vars p m in
   let phi = Lp.add_var m ~ub:1.0 "phi" in
@@ -137,7 +137,7 @@ let solve_fixed_delta ?deadline ?warm ?engine ?pricing ~st p classes delta =
   Lp.set_objective m Lp.Minimize [ (1.0, phi) ];
   match
     Solver_stats.time st "fixed_delta" (fun () ->
-        Simplex.solve ?deadline ?warm ?engine ?pricing m)
+        Simplex.solve ?deadline ?warm ?engine m)
   with
   | Simplex.Optimal sol ->
     Solver_stats.record st sol;
@@ -152,7 +152,7 @@ let solve_fixed_delta ?deadline ?warm ?engine ?pricing ~st p classes delta =
 (* Second phase: at loss level Φ*, maximize probability- and demand-
    weighted served fraction so spare capacity still protects uncovered
    scenario classes. *)
-let solve_second_phase ?deadline ?engine ?pricing ~st p classes delta phi_star =
+let solve_second_phase ?deadline ?engine ~st p classes delta phi_star =
   let m = Lp.create () in
   let a_vars = add_alloc_vars p m in
   add_capacity_rows p m a_vars;
@@ -186,7 +186,7 @@ let solve_second_phase ?deadline ?engine ?pricing ~st p classes delta phi_star =
   Lp.set_objective m Lp.Maximize !objective;
   match
     Solver_stats.time st "second_phase" (fun () ->
-        Simplex.solve ?deadline ?engine ?pricing m)
+        Simplex.solve ?deadline ?engine m)
   with
   | Simplex.Optimal sol ->
     Solver_stats.record st sol;
@@ -294,7 +294,7 @@ let build_full_mip ?(relax = false) p classes =
    drop, per flow, the classes the relaxation protects least (smallest relaxed delta),
    within the coverage budget.  This sees the cross-flow capacity coupling
    the purely loss-based greedy is blind to (e.g. the Fig. 2 instance). *)
-let relaxation_delta ?deadline ?engine ?pricing ~st p classes =
+let relaxation_delta ?deadline ?engine ~st p classes =
   let m, _a_vars, phi, _l_vars, d_vars = build_full_mip ~relax:true p classes in
   (* Lexicographic tie-break: among phi-optimal relaxations prefer the
      maximum covered probability mass.  Degenerate instances (Fig. 2
@@ -322,7 +322,7 @@ let relaxation_delta ?deadline ?engine ?pricing ~st p classes =
      optimum is still usable; a Phase-1 timeout simply skips the start. *)
   match
     Solver_stats.time st "relaxation" (fun () ->
-        Simplex.solve ?deadline ?engine ?pricing m)
+        Simplex.solve ?deadline ?engine m)
   with
   | exception Simplex.Timeout -> None
   | Simplex.Optimal sol ->
@@ -350,7 +350,7 @@ let relaxation_delta ?deadline ?engine ?pricing ~st p classes =
   | Simplex.Infeasible | Simplex.Unbounded -> None
 
 let solve ?(second_phase = true) ?(max_rounds = 8) ?(relaxation_start = true) ?deadline
-    ?warm ?(warm_start = true) ?engine ?pricing p =
+    ?warm ?(warm_start = true) ?engine p =
   let classes = classes_of p in
   let delta = Array.map (fun cls -> Array.make (Array.length cls) true) classes in
   let st = Solver_stats.create () in
@@ -373,7 +373,7 @@ let solve ?(second_phase = true) ?(max_rounds = 8) ?(relaxation_start = true) ?d
       match
         solve_fixed_delta ?deadline
           ?warm:(if warm_start then !last_basis else None)
-          ?engine ?pricing ~st p classes delta
+          ?engine ~st p classes delta
       with
       | exception Simplex.Timeout ->
         degraded := true;
@@ -402,7 +402,7 @@ let solve ?(second_phase = true) ?(max_rounds = 8) ?(relaxation_start = true) ?d
   let best =
     match best with
     | Some (phi, _, _, _) when relaxation_start && phi > 1e-9 && not !degraded -> (
-      match relaxation_delta ?deadline ?engine ?pricing ~st p classes with
+      match relaxation_delta ?deadline ?engine ~st p classes with
       | Some (delta_rx, pivots) ->
         incr lp_solves;
         lp_pivots := !lp_pivots + pivots;
@@ -415,7 +415,7 @@ let solve ?(second_phase = true) ?(max_rounds = 8) ?(relaxation_start = true) ?d
   | Some (phi, alloc, delta, basis) ->
     let expected_served, alloc =
       if second_phase && not (Prete_util.Clock.expired deadline) then begin
-        match solve_second_phase ?deadline ?engine ?pricing ~st p classes delta phi with
+        match solve_second_phase ?deadline ?engine ~st p classes delta phi with
         | exception Simplex.Timeout ->
           degraded := true;
           (nan, alloc)
@@ -457,7 +457,7 @@ type admission = {
   adm_solver : Solver_stats.t;
 }
 
-let solve_admission_fixed ?deadline ?warm ?engine ?pricing ~st p classes delta =
+let solve_admission_fixed ?deadline ?warm ?engine ~st p classes delta =
   let m = Lp.create () in
   let a_vars = add_alloc_vars p m in
   add_capacity_rows p m a_vars;
@@ -492,7 +492,7 @@ let solve_admission_fixed ?deadline ?warm ?engine ?pricing ~st p classes delta =
   Lp.set_objective m Lp.Maximize !objective;
   match
     Solver_stats.time st "admission" (fun () ->
-        Simplex.solve ?deadline ?warm ?engine ?pricing m)
+        Simplex.solve ?deadline ?warm ?engine m)
   with
   | Simplex.Optimal sol ->
     Solver_stats.record st sol;
@@ -546,7 +546,7 @@ let improve_delta_admission p classes delta alloc =
   (next, !changed)
 
 let solve_admission ?(max_rounds = 6) ?(skip_unprotectable = false) ?deadline ?warm
-    ?(warm_start = true) ?engine ?pricing p =
+    ?(warm_start = true) ?engine p =
   let classes = classes_of p in
   (* FFC-style full coverage would force b = 0 on any flow with a scenario
      class that no tunnel survives (e.g. double cuts killing all four
@@ -587,7 +587,7 @@ let solve_admission ?(max_rounds = 6) ?(skip_unprotectable = false) ?deadline ?w
       match
         solve_admission_fixed ?deadline
           ?warm:(if warm_start then !last_basis else None)
-          ?engine ?pricing ~st p classes delta
+          ?engine ~st p classes delta
       with
       | exception Simplex.Timeout ->
         degraded := true;
@@ -629,7 +629,7 @@ let solve_admission ?(max_rounds = 6) ?(skip_unprotectable = false) ?deadline ?w
 (* Exact MIP on the full formulation                                    *)
 (* ------------------------------------------------------------------ *)
 
-let solve_mip ?deadline ?warm ?(warm_start = true) ?engine ?pricing p =
+let solve_mip ?deadline ?warm ?(warm_start = true) ?engine p =
   let classes = classes_of p in
   let st = Solver_stats.create () in
   let m, a_vars, phi, _l_vars, d_vars = build_full_mip p classes in
@@ -652,7 +652,7 @@ let solve_mip ?deadline ?warm ?(warm_start = true) ?engine ?pricing p =
     Solver_stats.time st "mip" (fun () ->
         Mip.solve ?deadline
           ?warm:(if warm_start then warm else None)
-          ~warm_start ~stats:st ?engine ?pricing m)
+          ~warm_start ~stats:st ?engine m)
   with
   | Mip.Optimal sol -> of_incumbent ~degraded:false sol
   | Mip.Node_limit (Some sol) -> of_incumbent ~degraded:true sol
@@ -667,7 +667,7 @@ let solve_mip ?deadline ?warm ?(warm_start = true) ?engine ?pricing p =
 (* Subproblem: the full formulation with δ fixed; returns the optimum,
    the allocation, and the duals w of the (6) rows, which form the
    optimality cut  Φ ≥ SP(δ̂) + Σ w (δ − δ̂). *)
-let benders_subproblem ?deadline ?warm ?engine ?pricing ~st p classes delta =
+let benders_subproblem ?deadline ?warm ?engine ~st p classes delta =
   let m = Lp.create () in
   let a_vars = add_alloc_vars p m in
   let phi = Lp.add_var m ~ub:1.0 "phi" in
@@ -694,7 +694,7 @@ let benders_subproblem ?deadline ?warm ?engine ?pricing ~st p classes delta =
   Lp.set_objective m Lp.Minimize [ (1.0, phi) ];
   match
     Solver_stats.time st "benders_sub" (fun () ->
-        Simplex.solve ?deadline ?warm ?engine ?pricing m)
+        Simplex.solve ?deadline ?warm ?engine m)
   with
   | Simplex.Optimal sol ->
     Solver_stats.record st sol;
@@ -711,7 +711,7 @@ let benders_subproblem ?deadline ?warm ?engine ?pricing ~st p classes delta =
 
 type cut = { base : float; coefs : float array array (* [flow][class] *) }
 
-let benders_master ?deadline ?warm ?(warm_start = true) ?engine ?pricing ~st p classes cuts =
+let benders_master ?deadline ?warm ?(warm_start = true) ?engine ~st p classes cuts =
   let m = Lp.create () in
   let phi = Lp.add_var m ~ub:1.0 "phi" in
   let d_vars =
@@ -745,8 +745,7 @@ let benders_master ?deadline ?warm ?(warm_start = true) ?engine ?pricing ~st p c
   Lp.set_objective m Lp.Minimize [ (1.0, phi) ];
   match
     Solver_stats.time st "benders_master" (fun () ->
-        Mip.solve ~max_nodes:50_000 ?deadline ?warm ~warm_start ~stats:st
-          ?engine ?pricing m)
+        Mip.solve ~max_nodes:50_000 ?deadline ?warm ~warm_start ~stats:st ?engine m)
   with
   | Mip.Optimal sol ->
     let delta = Array.map (Array.map (fun v -> Mip.value sol v >= 0.5)) d_vars in
@@ -762,7 +761,7 @@ let benders_master ?deadline ?warm ?(warm_start = true) ?engine ?pricing ~st p c
   | Mip.Unbounded -> raise (Infeasible_problem "Benders master unbounded (internal error)")
 
 let solve_benders ?(eps = 1e-4) ?(max_iters = 40) ?deadline ?warm ?(warm_start = true)
-    ?pool ?engine ?pricing p =
+    ?pool ?engine p =
   let pool =
     match pool with Some pl -> pl | None -> Prete_exec.Pool.default ()
   in
@@ -820,7 +819,7 @@ let solve_benders ?(eps = 1e-4) ?(max_iters = 40) ?deadline ?warm ?(warm_start =
         Prete_exec.Pool.parallel_map pool ~chunk:1
           (fun i ->
             match
-              benders_subproblem ?deadline ?warm:sub_bases.(i) ?engine ?pricing
+              benders_subproblem ?deadline ?warm:sub_bases.(i) ?engine
                 ~st p classes cands.(i)
             with
             | exception Simplex.Timeout -> `Timeout
@@ -866,7 +865,7 @@ let solve_benders ?(eps = 1e-4) ?(max_iters = 40) ?deadline ?warm ?(warm_start =
         (* Step 2: master problem. *)
         match
           benders_master ?deadline ?warm:!master_basis ~warm_start ?engine
-            ?pricing ~st p classes !cuts
+            ~st p classes !cuts
         with
         | `Exact (mp_obj, next_delta, nodes, mb) ->
           mip_nodes := !mip_nodes + nodes;

@@ -121,7 +121,6 @@ val solve :
   ?warm:Prete_lp.Simplex.basis ->
   ?warm_start:bool ->
   ?engine:Prete_lp.Simplex.engine ->
-  ?pricing:Prete_lp.Simplex.pricing ->
   problem ->
   solution
 (** The δ-fixpoint heuristic (default strategy).  [second_phase] default
@@ -152,7 +151,6 @@ val solve_admission :
   ?warm:Prete_lp.Simplex.basis ->
   ?warm_start:bool ->
   ?engine:Prete_lp.Simplex.engine ->
-  ?pricing:Prete_lp.Simplex.pricing ->
   problem ->
   admission
 (** TeaVar/FFC-style admission control: maximize Σ_f b_f subject to
@@ -172,7 +170,6 @@ val solve_mip :
   ?warm:Prete_lp.Simplex.basis ->
   ?warm_start:bool ->
   ?engine:Prete_lp.Simplex.engine ->
-  ?pricing:Prete_lp.Simplex.pricing ->
   problem ->
   solution
 (** Exact branch-and-bound over δ (full formulation).  Intended for small
@@ -188,7 +185,6 @@ val solve_benders :
   ?warm_start:bool ->
   ?pool:Prete_exec.Pool.t ->
   ?engine:Prete_lp.Simplex.engine ->
-  ?pricing:Prete_lp.Simplex.pricing ->
   problem ->
   solution
 (** Algorithm 2.  [eps] (default 1e-4) is the UB−LB convergence threshold;

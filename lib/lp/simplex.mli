@@ -1,8 +1,8 @@
 (** Two-phase primal simplex for {!Lp} models.
 
-    Replaces the Gurobi LP path of the paper's implementation.  Two
-    engines share one normalization, one warm-start contract and one
-    solution type:
+    Replaces the Gurobi LP path of the paper's implementation.  One
+    production engine and one small reference share a warm-start
+    contract and a solution type:
 
     - {b Lu} (the default) — the WAN-scale bounded-variable engine.  The
       model first goes through a presolve ({!Presolve}): empty, singleton
@@ -14,21 +14,18 @@
       stop costing explicit rows.  The basis inverse is a sparse LU
       factorization ({!Sparse.Lu}) with Markowitz-style pivoting,
       Forrest–Tomlin updates on pivots, and periodic refactorization on
-      fill-in/stability triggers — FTRAN/BTRAN stay O(LU nonzeros)
-      instead of O(eta-file length).
-    - {b Revised} — the constraint matrix is kept in
-      compressed-sparse-column form ({!Sparse.t}) and the basis inverse
-      as a product-form eta file: each pivot appends one eta matrix, and
-      sparse FTRAN/BTRAN apply the file in O(eta nonzeros) instead of
-      rewriting an m×n tableau.  The eta file is rebuilt from the current
-      basis (a {e refactorization}) when it grows past an eta-count or
-      fill-in trigger, which also resynchronizes the basic solution
-      against round-off.  The ratio test is a Harris-style two-pass rule
-      (numerically largest pivot among near-minimal ratios); entering
-      columns follow the selected {!pricing} rule.
-    - {b Dense} — the original dense-tableau engine, retained as a
-      differential-testing oracle (see [test_solvers_diff.ml]) and
-      selectable via [?engine] or {!default_engine}.
+      fill-in/stability triggers.  Entering columns come from partial
+      pricing over cyclic column segments; the ratio test is a
+      Harris-style two-pass rule (numerically largest pivot among
+      near-minimal ratios).
+    - {b Dense} — the original dense-tableau engine with full Dantzig
+      pricing, kept as the small differential-testing reference (see
+      [test_solvers_diff.ml]) and selectable via [?engine] or
+      {!default_engine}.
+
+    Answers of either engine can be checked without the other:
+    {!certify} verifies an optimal solution against primal feasibility,
+    dual feasibility and a zero duality gap.
 
     Both engines: Phase 1 minimizes the sum of artificial variables to
     find a basic feasible solution, Phase 2 optimizes the user objective,
@@ -36,8 +33,8 @@
     happens after a degeneracy threshold.
 
     Normalization: variables are shifted to zero lower bound, finite upper
-    bounds become additional rows, binary declarations are relaxed to
-    [0, 1].  Free variables (infinite lower bound) are not supported — the
+    bounds become additional rows (dense engine only), binary
+    declarations are relaxed to [0, 1].  Free variables (infinite lower bound) are not supported — the
     TE formulations never produce them.
 
     Duals are reported as shadow prices of the original constraints:
@@ -63,8 +60,8 @@
 
     - {e Exact reinstall} — when the new model has the same variable and
       row counts, the stored basic-column set is factorized back into the
-      engine (Gaussian elimination with partial pivoting; under the
-      revised engine this is a single eta-file rebuild, counted as one
+      engine (Gaussian elimination with partial pivoting under the dense
+      engine, one LU factorization under the LU engine — counted as a
       refactorization, not as simplex iterations).  If the resulting
       vertex is primal feasible for the new data, Phase 1 is skipped
       entirely and Phase 2 starts from the old vertex
@@ -90,51 +87,37 @@
     rhs / bound / cost changes.  A warm basis whose structural dimension
     differs from the new model is ignored ([warm_used = false]).  Warm
     starting never changes the reported optimum — only the pivot count
-    taken to reach it.  Bases transfer between the dense and eta engines
-    directly (same normalization).  LU-engine bases live in the presolved
-    row space, so a cross-engine transfer fails the shape check and
-    degrades to guided Phase 1 — the structural variable ids still steer
-    the pricing; within the LU engine, bases reinstall exactly across
+    taken to reach it.  LU-engine bases live in the presolved row space,
+    so a cross-engine transfer fails the shape check and degrades to
+    guided Phase 1 — the structural variable ids still steer the
+    pricing; within the LU engine, bases reinstall exactly across
     rhs-only changes because the presolve reductions that decide the
     reduced structure depend only on constraint patterns, senses and
-    cost signs. *)
+    cost signs.  When pivots from a reinstalled LU basis reach a basis
+    the refactorization finds singular, the solve restarts cold once. *)
 
 type basis
 (** A simplex basis in model-independent form, transferable to later
-    solves of structurally similar models (and across engines). *)
+    solves of structurally similar models. *)
 
 val basis_size : basis -> int
 (** Number of rows of the normalized problem the basis was extracted
     from. *)
 
 type engine =
-  | Dense  (** Original dense tableau; differential-testing oracle. *)
-  | Revised  (** Sparse revised simplex with eta-file basis. *)
+  | Dense  (** Original dense tableau; differential-testing reference. *)
   | Lu
       (** Bounded-variable simplex over the presolved model with a
           sparse LU basis and Forrest–Tomlin updates (default). *)
-
-type pricing =
-  | Dantzig  (** Full pricing, most negative reduced cost. *)
-  | Devex  (** Reference-framework devex weights (Forrest–Goldfarb). *)
-  | Partial  (** Cyclic candidate-list pricing over column segments. *)
 
 val default_engine : engine ref
 (** Engine used when [?engine] is omitted; [Lu] unless overridden
     (e.g. by the [--lp-engine] CLI flag). *)
 
-val default_pricing : pricing ref
-(** Pricing rule used when [?pricing] is omitted; [Dantzig] unless
-    overridden (e.g. by the [--pricing] CLI flag). *)
-
 val engine_name : engine -> string
-val pricing_name : pricing -> string
 
 val engine_of_string : string -> engine option
-(** ["dense" | "revised" | "lu"]. *)
-
-val pricing_of_string : string -> pricing option
-(** ["dantzig" | "devex" | "partial"]. *)
+(** ["dense" | "lu"]. *)
 
 type solution = {
   objective : float;  (** Objective in the original direction. *)
@@ -157,16 +140,11 @@ type solution = {
           [phase1_skipped]) or the guided-Phase-1 path (reinstall failed
           or row structure changed). *)
   engine : engine;  (** Engine that produced this solution. *)
-  pricing : pricing;  (** Pricing rule requested for this solve. *)
-  etas : int;
-      (** Revised engine: eta matrices appended (pivots + reinstall
-          eliminations); 0 under [Dense] and [Lu]. *)
   refactorizations : int;
-      (** Revised engine: eta-file rebuilds; LU engine: LU
-          factorizations (initial, warm reinstall, periodic); 0 under
-          [Dense]. *)
-  ftran_nnz : int;  (** Revised/LU engines: total FTRAN result nonzeros. *)
-  btran_nnz : int;  (** Revised/LU engines: total BTRAN result nonzeros. *)
+      (** LU engine: LU factorizations (initial, warm reinstall,
+          periodic); 0 under [Dense]. *)
+  ftran_nnz : int;  (** LU engine: total FTRAN result nonzeros. *)
+  btran_nnz : int;  (** LU engine: total BTRAN result nonzeros. *)
   ft_updates : int;
       (** LU engine: Forrest–Tomlin basis updates absorbed (pivots that
           did not trigger a refactorization); 0 elsewhere. *)
@@ -184,9 +162,9 @@ type solution = {
 type outcome = Optimal of solution | Infeasible | Unbounded
 
 exception Numerical of string
-(** Raised on internal numerical failures (e.g. an unbounded Phase 1,
-    which cannot happen on well-formed input, or a vanished pivot /
-    failed refactorization in the revised engine). *)
+(** Raised on internal numerical failures: an unbounded Phase 1, which
+    cannot happen on well-formed input, or an LU refactorization that
+    finds the basis singular in a cold solve. *)
 
 exception Timeout
 (** Raised when the pivot or deadline budget expires before a feasible
@@ -197,7 +175,6 @@ val solve :
   ?deadline:float ->
   ?warm:basis ->
   ?engine:engine ->
-  ?pricing:pricing ->
   Lp.model ->
   outcome
 (** Solve the continuous relaxation of the model.  [max_iters] defaults to
@@ -206,11 +183,10 @@ val solve :
     reuses a basis from a previous solve (see warm starting above); with
     a feasible reinstall and [max_iters = 0] the returned degraded
     incumbent is exactly the warm vertex re-evaluated on the new model.
-    [engine] and [pricing] default to {!default_engine} and
-    {!default_pricing}.  Both engines return the same optimum (the
-    differential suite pins objective, dual and outcome agreement);
-    pivot paths — and therefore [iterations] and degenerate-optimum
-    vertex choices — may differ. *)
+    [engine] defaults to {!default_engine}.  Both engines return the
+    same optimum (the differential suite pins objective, dual and
+    outcome agreement); pivot paths — and therefore [iterations] and
+    degenerate-optimum vertex choices — may differ. *)
 
 val value : solution -> Lp.var -> float
 val dual : solution -> int -> float
@@ -219,3 +195,22 @@ val feasible : ?eps:float -> Lp.model -> float array -> bool
 (** [feasible m x] checks a candidate point against every constraint and
     bound of the model; used by tests, the MIP layer, and the resilience
     fallback ladder to validate incumbents. Default [eps] 1e-6. *)
+
+val certify : ?eps:float -> Lp.model -> solution -> (unit, string) result
+(** [certify m sol] checks that [sol] is an optimum of [m] using only
+    the model, [sol.values] and [sol.duals], in time linear in the
+    model's nonzeros:
+
+    - primal feasibility ({!feasible}) and that [sol.objective] is the
+      objective of [sol.values];
+    - dual feasibility: each shadow price has the sign its constraint
+      sense allows (≤ 0 on [Le], ≥ 0 on [Ge] rows of a minimization,
+      mirrored for maximization), and each reduced cost pushes its
+      variable toward a finite bound;
+    - a zero duality gap: the complementary-slackness terms, which sum
+      to primal minus dual objective, add up to at most [eps] relative
+      to the objective.
+
+    Tolerances are [eps] (default 1e-6), relative to the magnitudes
+    involved.  [Error] names the first failed check.  A degraded
+    solution always fails: its duals belong to an interrupted basis. *)

@@ -9,9 +9,7 @@ type t = {
   mutable cache_hits : int;
   mutable cache_misses : int;
   mutable dense_solves : int;
-  mutable revised_solves : int;
   mutable lu_solves : int;
-  mutable etas : int;
   mutable refactorizations : int;
   mutable ftran_nnz : int;
   mutable btran_nnz : int;
@@ -20,7 +18,6 @@ type t = {
   mutable lu_fill_nnz : int;
   mutable presolve_rows : int;
   mutable presolve_cols : int;
-  mutable pricing_solves : (string * int) list;
   mutable walls : (string * float) list;
   lock : Mutex.t;
 }
@@ -37,9 +34,7 @@ let create () =
     cache_hits = 0;
     cache_misses = 0;
     dense_solves = 0;
-    revised_solves = 0;
     lu_solves = 0;
-    etas = 0;
     refactorizations = 0;
     ftran_nnz = 0;
     btran_nnz = 0;
@@ -48,7 +43,6 @@ let create () =
     lu_fill_nnz = 0;
     presolve_rows = 0;
     presolve_cols = 0;
-    pricing_solves = [];
     walls = [];
     lock = Mutex.create ();
   }
@@ -60,11 +54,6 @@ let create () =
 let guarded t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
-
-let bump_assoc assoc key by =
-  match List.assoc_opt key assoc with
-  | Some prev -> (key, prev + by) :: List.remove_assoc key assoc
-  | None -> (key, by) :: assoc
 
 let record t (sol : Simplex.solution) =
   guarded t (fun () ->
@@ -79,9 +68,7 @@ let record t (sol : Simplex.solution) =
       else t.cold_pivots <- t.cold_pivots + sol.Simplex.iterations;
       (match sol.Simplex.engine with
       | Simplex.Dense -> t.dense_solves <- t.dense_solves + 1
-      | Simplex.Revised -> t.revised_solves <- t.revised_solves + 1
       | Simplex.Lu -> t.lu_solves <- t.lu_solves + 1);
-      t.etas <- t.etas + sol.Simplex.etas;
       t.refactorizations <- t.refactorizations + sol.Simplex.refactorizations;
       t.ftran_nnz <- t.ftran_nnz + sol.Simplex.ftran_nnz;
       t.btran_nnz <- t.btran_nnz + sol.Simplex.btran_nnz;
@@ -89,9 +76,7 @@ let record t (sol : Simplex.solution) =
       t.bound_flips <- t.bound_flips + sol.Simplex.bound_flips;
       t.lu_fill_nnz <- t.lu_fill_nnz + sol.Simplex.lu_fill_nnz;
       t.presolve_rows <- t.presolve_rows + sol.Simplex.presolve_rows;
-      t.presolve_cols <- t.presolve_cols + sol.Simplex.presolve_cols;
-      t.pricing_solves <-
-        bump_assoc t.pricing_solves (Simplex.pricing_name sol.Simplex.pricing) 1)
+      t.presolve_cols <- t.presolve_cols + sol.Simplex.presolve_cols)
 
 let cache_hit t = guarded t (fun () -> t.cache_hits <- t.cache_hits + 1)
 let cache_miss t = guarded t (fun () -> t.cache_misses <- t.cache_misses + 1)
@@ -122,9 +107,7 @@ let merge_into ~dst src =
       dst.cache_hits <- dst.cache_hits + src.cache_hits;
       dst.cache_misses <- dst.cache_misses + src.cache_misses;
       dst.dense_solves <- dst.dense_solves + src.dense_solves;
-      dst.revised_solves <- dst.revised_solves + src.revised_solves;
       dst.lu_solves <- dst.lu_solves + src.lu_solves;
-      dst.etas <- dst.etas + src.etas;
       dst.refactorizations <- dst.refactorizations + src.refactorizations;
       dst.ftran_nnz <- dst.ftran_nnz + src.ftran_nnz;
       dst.btran_nnz <- dst.btran_nnz + src.btran_nnz;
@@ -133,9 +116,6 @@ let merge_into ~dst src =
       dst.lu_fill_nnz <- dst.lu_fill_nnz + src.lu_fill_nnz;
       dst.presolve_rows <- dst.presolve_rows + src.presolve_rows;
       dst.presolve_cols <- dst.presolve_cols + src.presolve_cols;
-      List.iter
-        (fun (k, v) -> dst.pricing_solves <- bump_assoc dst.pricing_solves k v)
-        src.pricing_solves;
       List.iter (fun (stage, s) -> add_wall_unlocked dst stage s) src.walls)
 
 let cache_hit_rate t =
@@ -163,31 +143,26 @@ let to_json t =
     |> List.rev_map (fun (stage, s) -> Printf.sprintf "\"%s\": %.6f" (json_escape stage) s)
     |> String.concat ", "
   in
-  let pricing =
-    t.pricing_solves
-    |> List.rev_map (fun (k, v) -> Printf.sprintf "\"%s\": %d" (json_escape k) v)
-    |> String.concat ", "
-  in
   Printf.sprintf
     "{\"solves\": %d, \"warm_solves\": %d, \"phase1_skips\": %d, \"repairs\": %d, \
      \"pivots\": %d, \"warm_pivots\": %d, \"cold_pivots\": %d, \
      \"cache_hits\": %d, \"cache_misses\": %d, \"cache_hit_rate\": %.4f, \
-     \"dense_solves\": %d, \"revised_solves\": %d, \"lu_solves\": %d, \"etas\": %d, \
+     \"dense_solves\": %d, \"lu_solves\": %d, \
      \"refactorizations\": %d, \"ftran_nnz\": %d, \"btran_nnz\": %d, \
      \"ft_updates\": %d, \"bound_flips\": %d, \"lu_fill_nnz\": %d, \
      \"presolve_rows\": %d, \"presolve_cols\": %d, \
-     \"pricing_solves\": {%s}, \"wall_s\": {%s}}"
+     \"wall_s\": {%s}}"
     t.solves t.warm_solves t.phase1_skips t.repairs t.pivots t.warm_pivots t.cold_pivots
     t.cache_hits t.cache_misses (cache_hit_rate t)
-    t.dense_solves t.revised_solves t.lu_solves t.etas t.refactorizations t.ftran_nnz t.btran_nnz
+    t.dense_solves t.lu_solves t.refactorizations t.ftran_nnz t.btran_nnz
     t.ft_updates t.bound_flips t.lu_fill_nnz t.presolve_rows t.presolve_cols
-    pricing walls
+    walls
 
 let pp ppf t =
   Format.fprintf ppf
     "solves=%d warm=%d p1skip=%d repair=%d pivots=%d (warm %d / cold %d) cache %d/%d \
-     engines lu=%d rev=%d dense=%d etas=%d refactors=%d ft=%d flips=%d"
+     engines lu=%d dense=%d refactors=%d ft=%d flips=%d"
     t.solves t.warm_solves t.phase1_skips t.repairs t.pivots t.warm_pivots t.cold_pivots
     t.cache_hits (t.cache_hits + t.cache_misses)
-    t.lu_solves t.revised_solves t.dense_solves t.etas t.refactorizations
+    t.lu_solves t.dense_solves t.refactorizations
     t.ft_updates t.bound_flips

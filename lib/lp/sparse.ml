@@ -114,13 +114,6 @@ let transpose a =
   done;
   { rows = a.cols; cols = a.rows; colptr; rowidx; values }
 
-let to_dense a =
-  let d = Array.init a.rows (fun _ -> Array.make a.cols 0.0) in
-  for j = 0 to a.cols - 1 do
-    iter_col a j (fun i v -> d.(i).(j) <- v)
-  done;
-  d
-
 type mat = t
 
 (* ---- Sparse LU basis factorization --------------------------------------

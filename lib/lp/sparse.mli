@@ -2,7 +2,7 @@
 
     The constraint matrices of every PreTE LP are overwhelmingly sparse
     (a tunnel touches a handful of links; scenario blocks are near-
-    disjoint), so the revised simplex engine ({!Simplex}) stores them in
+    disjoint), so the LU simplex engine ({!Simplex}) stores them in
     CSC form and the {!Te} model builders derive capacity rows from a
     sparse link×tunnel incidence instead of scanning every (link,
     tunnel) pair.
@@ -27,9 +27,6 @@ val of_triplets : rows:int -> cols:int -> (int * int * float) list -> t
     triplets.  Duplicates are summed; entries summing to exactly [0.] are
     dropped.  Raises [Invalid_argument] on out-of-range indices. *)
 
-val nnz : t -> int
-(** Stored entries (all nonzero). *)
-
 val col_nnz : t -> int -> int
 (** Stored entries in one column. *)
 
@@ -48,9 +45,6 @@ val scatter_col : t -> int -> float array -> unit
 val transpose : t -> t
 (** The transpose, itself in CSC form — column [i] of the result is row
     [i] of the input, giving a row view ("CSR") of the original. *)
-
-val to_dense : t -> float array array
-(** [rows × cols] dense copy; for tests and debugging. *)
 
 type mat = t
 (** Alias so modules below can name the matrix type unambiguously. *)

@@ -1058,10 +1058,13 @@ let config_of_dump json =
       (match field_raw cfg "shed_policy" with
       | Some v -> shed_policy_of_string v
       | None -> default_config.shed_policy);
-    (* Dumps predating the LU engine were produced under the eta-file
-       revised engine; replay them with it so cores keep matching. *)
+    (* Dumps predating the LU engine (no field) or naming the deleted
+       eta-file engine ("revised") replay under lu: same optimum, but
+       possibly another degenerate vertex. *)
     lp_engine =
-      (match field_raw cfg "lp_engine" with Some v -> v | None -> "revised");
+      (match field_raw cfg "lp_engine" with
+      | None | Some "revised" -> "lu"
+      | Some v -> v);
     (* Dumps predating online retraining carry no fields: off. *)
     retrain =
       (match field_raw cfg "retrain_every" with

@@ -127,8 +127,9 @@ type config = {
       (** {!Prete_lp.Simplex.engine_of_string} name.  {!run} and
           {!Shard.run} install it as the session default engine for the
           duration of the run (restored on exit), so dumps replay under
-          the engine that produced them.  Dumps predating the field
-          replay under ["revised"]. *)
+          the engine that produced them.  Dumps predating the field, or
+          naming the deleted eta-file engine ["revised"], replay under
+          ["lu"] (see {!config_of_dump}). *)
   retrain : retrain option;
       (** Online decision-focused retraining ({!Prete_ml.Dfl}): consume
           the measured alarm-event stream and, at due epoch boundaries,
@@ -211,7 +212,11 @@ val deterministic_core : result -> string
 
 val config_of_dump : string -> config
 (** Parse the ["config"] section back out of {!dump} output; raises
-    [Failure] on malformed input. *)
+    [Failure] on malformed input.  A dump with no ["lp_engine"] field or
+    with ["revised"] (the deleted eta-file engine) parses to ["lu"]: it
+    replays, but not bit-exactly — a degenerate LP may land on another
+    optimal vertex, so {!replay} can report a core mismatch.  Any other
+    unknown engine name parses as is and fails loudly in {!run}. *)
 
 val replay :
   ?pool:Prete_exec.Pool.t -> string -> result * bool

@@ -762,6 +762,32 @@ let test_uncertainty_fig17_shape () =
   Alcotest.(check bool) "PreTE* >= PreTE - eps" true
     (get "PreTE" true >= get "PreTE" false -. 0.002)
 
+(* Regression: on TWAN at twice the base demand, the basis of the fiber-27
+   reaction plan at hour 6, handed to the same fiber's plan at hour 1,
+   drives the LU engine into a basis its refactorization finds singular.
+   The warm solve must restart cold and return the cold plan instead of
+   raising [Simplex.Numerical]. *)
+let test_warm_plan_singular_basis () =
+  let topo = Topology.by_name "TWAN" in
+  let env = Availability.make_env topo in
+  let scheme =
+    Schemes.prete_default
+      ~predictor:(Prete_optics.Hazard.eval ~num_fibers:(Topology.num_fibers topo))
+      ()
+  in
+  let plan ?warm hour =
+    let demands = Traffic.demand env.Availability.traffic ~scale:2.0 ~epoch:hour in
+    Availability.Internal.plan_alloc_warm ?warm env scheme ~demands ~degraded:(Some 27)
+  in
+  let _, basis = plan 6 in
+  Alcotest.(check bool) "hour-6 plan carries a basis" true (Option.is_some basis);
+  let warm, _ = plan ?warm:basis 1 in
+  let cold, _ = plan 1 in
+  Alcotest.(check bool) "warm plan feasible" true
+    (Resilience.plan_feasible warm.Availability.p_ts warm);
+  Alcotest.(check (array (float 1e-9))) "warm plan = cold plan"
+    cold.Availability.p_alloc warm.Availability.p_alloc
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -808,6 +834,8 @@ let () =
           Alcotest.test_case "admission skip unprotectable" `Quick test_te_admission_skip_unprotectable;
           Alcotest.test_case "new tunnels reduce loss" `Slow test_te_new_tunnels_reduce_loss;
           Alcotest.test_case "order-2 classes" `Quick test_te_order2_classes;
+          Alcotest.test_case "warm plan survives a singular basis" `Quick
+            test_warm_plan_singular_basis;
         ] );
       ( "availability",
         [

@@ -462,6 +462,41 @@ let test_runtime_replay () =
   in
   Alcotest.(check bool) "replay reproduces the deterministic core" true ok
 
+(* Dumps written before the LU engine carry no "lp_engine" field, and
+   dumps of the deleted eta-file engine name it "revised": both parse and
+   replay under lu.  Any other unknown engine name still fails loudly. *)
+let test_runtime_legacy_engine_dumps () =
+  let json = Runtime.dump (Lazy.force shared) in
+  let replace_once ~sub ~by s =
+    let n = String.length s and k = String.length sub in
+    let rec find i =
+      if i + k > n then Alcotest.failf "%S not in the dump" sub
+      else if String.sub s i k = sub then i
+      else find (i + 1)
+    in
+    let i = find 0 in
+    String.sub s 0 i ^ by ^ String.sub s (i + k) (n - i - k)
+  in
+  let field = "\"lp_engine\": \"lu\"" in
+  List.iter
+    (fun (what, dump) ->
+      Alcotest.(check string) (what ^ ": parsed engine") "lu"
+        (Runtime.config_of_dump dump).Runtime.lp_engine;
+      let _, ok =
+        Prete_exec.Pool.with_pool ~domains:1 (fun pool -> Runtime.replay ~pool dump)
+      in
+      Alcotest.(check bool) (what ^ ": replays under lu") true ok)
+    [
+      ("no lp_engine field", replace_once ~sub:(", " ^ field) ~by:"" json);
+      ("revised", replace_once ~sub:field ~by:"\"lp_engine\": \"revised\"" json);
+    ];
+  let bad = replace_once ~sub:field ~by:"\"lp_engine\": \"simplex9\"" json in
+  Alcotest.(check string) "unknown name kept" "simplex9"
+    (Runtime.config_of_dump bad).Runtime.lp_engine;
+  match Runtime.replay bad with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "an unknown engine name must be rejected"
+
 let test_runtime_policies_and_simulate_parity () =
   let r = Lazy.force shared in
   Alcotest.(check bool) "pipeline saw degradations" true (r.Runtime.r_degr_epochs > 0);
@@ -560,6 +595,8 @@ let () =
           Alcotest.test_case "bit-identical at 1/2/4 domains" `Slow
             test_runtime_deterministic_across_domains;
           Alcotest.test_case "dump -> replay roundtrip" `Slow test_runtime_replay;
+          Alcotest.test_case "legacy engine dumps replay under lu" `Slow
+            test_runtime_legacy_engine_dumps;
           Alcotest.test_case "policy ordering + Simulate parity" `Slow
             test_runtime_policies_and_simulate_parity;
           Alcotest.test_case "event log consistent" `Quick

@@ -157,7 +157,7 @@ let prop_benders_warm_chain =
       !ok)
 
 (* ------------------------------------------------------------------ *)
-(* Dense vs revised engine differential suite (raw LPs)                 *)
+(* Dense vs LU engine differential suite (raw LPs)                      *)
 (* ------------------------------------------------------------------ *)
 
 module Lp = Prete_lp.Lp
@@ -211,8 +211,20 @@ let build_lp ?(slack_scale = 1.0) (nv, x0, rows, dir, obj) =
   Lp.set_objective m dir (Array.to_list (Array.mapi (fun j c -> (c, xs.(j))) obj));
   m
 
+(* [Simplex.certify] is the reference for every LU answer below: it
+   needs no second engine, so it also covers sizes the dense oracle
+   cannot reach. *)
+let certified m (s : Simplex.solution) = Simplex.certify m s = Ok ()
+
+let duals_agree m a b =
+  let ok = ref true in
+  for i = 0 to Lp.num_constraints m - 1 do
+    if abs_float (Simplex.dual a i -. Simplex.dual b i) > 1e-6 then ok := false
+  done;
+  !ok
+
 let prop_engines_agree_feasible =
-  QCheck.Test.make ~name:"dense and revised agree on random feasible LPs"
+  QCheck.Test.make ~name:"dense and lu agree on random feasible LPs"
     ~count:150
     QCheck.(small_int)
     (fun seed ->
@@ -220,22 +232,18 @@ let prop_engines_agree_feasible =
       let spec = random_lp_coefs rng in
       let m = build_lp spec in
       match
-        (Simplex.solve ~engine:Simplex.Dense m, Simplex.solve ~engine:Simplex.Revised m)
+        (Simplex.solve ~engine:Simplex.Dense m, Simplex.solve ~engine:Simplex.Lu m)
       with
-      | Simplex.Optimal d, Simplex.Optimal r ->
-        abs_float (d.Simplex.objective -. r.Simplex.objective) <= 1e-6
+      | Simplex.Optimal d, Simplex.Optimal l ->
+        abs_float (d.Simplex.objective -. l.Simplex.objective) <= 1e-6
         && d.Simplex.engine = Simplex.Dense
-        && r.Simplex.engine = Simplex.Revised
-        && (let ok = ref true in
-            for i = 0 to Lp.num_constraints m - 1 do
-              if abs_float (Simplex.dual d i -. Simplex.dual r i) > 1e-6 then
-                ok := false
-            done;
-            !ok)
+        && l.Simplex.engine = Simplex.Lu
+        && certified m l && certified m d
+        && duals_agree m d l
       | _ -> false)
 
 let prop_engines_agree_infeasible =
-  QCheck.Test.make ~name:"dense and revised agree on infeasible LPs" ~count:80
+  QCheck.Test.make ~name:"dense and lu agree on infeasible LPs" ~count:80
     QCheck.(small_int)
     (fun seed ->
       let rng = Prete_util.Rng.create (seed + 53_000) in
@@ -254,16 +262,20 @@ let prop_engines_agree_infeasible =
       | Simplex.Infeasible -> true
       | _ -> false)
       &&
-      match Simplex.solve ~engine:Simplex.Revised m with
+      match Simplex.solve ~engine:Simplex.Lu m with
       | Simplex.Infeasible -> true
       | _ -> false)
 
+(* The ray [z] has no constraint rows, so presolve flags the LU solve
+   unbounded at once; the LU engine then decides feasibility of the
+   constraints alone.  The second half adds a contradiction, under which
+   the same ray must yield [Infeasible], not [Unbounded]. *)
 let prop_engines_agree_unbounded =
-  QCheck.Test.make ~name:"dense and revised agree on unbounded LPs" ~count:80
+  QCheck.Test.make ~name:"dense and lu agree on unbounded LPs" ~count:80
     QCheck.(small_int)
     (fun seed ->
       let rng = Prete_util.Rng.create (seed + 67_000) in
-      let ((_, _, _, dir, _) as spec) = random_lp_coefs rng in
+      let ((nv, _, _, dir, _) as spec) = random_lp_coefs rng in
       let m = build_lp spec in
       (* A ray the constraints never see: z is free upward and improves
          the objective, so the feasible instance becomes unbounded. *)
@@ -275,72 +287,49 @@ let prop_engines_agree_unbounded =
         (fun j c -> if c <> 0.0 then terms := (c, Lp.var_of_index m j) :: !terms)
         obj;
       Lp.set_objective m dirn !terms;
-      (match Simplex.solve ~engine:Simplex.Dense m with
-      | Simplex.Unbounded -> true
-      | _ -> false)
-      &&
-      match Simplex.solve ~engine:Simplex.Revised m with
-      | Simplex.Unbounded -> true
-      | _ -> false)
-
-let prop_pricing_rules_agree =
-  QCheck.Test.make ~name:"devex and partial pricing match dantzig objectives"
-    ~count:80
-    QCheck.(small_int)
-    (fun seed ->
-      let rng = Prete_util.Rng.create (seed + 83_000) in
-      let m = build_lp (random_lp_coefs rng) in
-      let obj pricing =
-        match Simplex.solve ~engine:Simplex.Revised ~pricing m with
-        | Simplex.Optimal s -> s.Simplex.objective
-        | _ -> nan
+      let outcome engine = Simplex.solve ~engine m in
+      let unbounded =
+        (match outcome Simplex.Dense with Simplex.Unbounded -> true | _ -> false)
+        && match outcome Simplex.Lu with Simplex.Unbounded -> true | _ -> false
       in
-      let d = obj Simplex.Dantzig in
-      abs_float (obj Simplex.Devex -. d) <= 1e-6
-      && abs_float (obj Simplex.Partial -. d) <= 1e-6)
+      let coefs = Array.init nv (fun _ -> Prete_util.Rng.uniform rng (-3.0) 3.0) in
+      let row = Array.to_list (Array.mapi (fun j c -> (c, Lp.var_of_index m j)) coefs) in
+      ignore (Lp.add_constraint m row Lp.Ge 1.0);
+      ignore (Lp.add_constraint m row Lp.Le (-1.0));
+      unbounded
+      && (match outcome Simplex.Dense with Simplex.Infeasible -> true | _ -> false)
+      && match outcome Simplex.Lu with Simplex.Infeasible -> true | _ -> false)
 
-let prop_revised_warm_equals_cold =
-  QCheck.Test.make
-    ~name:"revised warm rhs-only re-solve reproduces the cold objective"
-    ~count:80
-    QCheck.(small_int)
-    (fun seed ->
-      let rng = Prete_util.Rng.create (seed + 97_000) in
-      let spec = random_lp_coefs rng in
-      let base = build_lp spec in
-      let perturbed = build_lp ~slack_scale:0.7 spec in
-      match Simplex.solve ~engine:Simplex.Revised base with
-      | Simplex.Optimal cold ->
-        let cold_p =
-          match Simplex.solve ~engine:Simplex.Revised perturbed with
-          | Simplex.Optimal s -> Some s.Simplex.objective
-          | _ -> None
-        in
-        let warm_p =
-          match
-            Simplex.solve ~engine:Simplex.Revised ~warm:cold.Simplex.basis perturbed
-          with
-          | Simplex.Optimal s ->
-            (* Same layout, rhs-only drift: the reinstall is exact, so the
-               warm solve must not re-run Phase 1, and the reinstall
-               itself must show up as a refactorization. *)
-            if (not s.Simplex.phase1_skipped) || s.Simplex.refactorizations < 1 then
-              None
-            else Some s.Simplex.objective
-          | _ -> None
-        in
-        (match (cold_p, warm_p) with
-        | Some c, Some w -> abs_float (c -. w) <= 1e-9
-        | _ -> true (* tightened capacities may make the instance infeasible *))
-      | _ -> false)
+(* The certificate must reject what is not an optimum: a shifted
+   objective, a dual with the wrong sign, and a suboptimal feasible
+   point (all variables at zero is feasible for this Le-only model). *)
+let test_certify_rejects () =
+  let m = Lp.create () in
+  let x = Lp.add_var m "x" and y = Lp.add_var m "y" in
+  ignore (Lp.add_constraint m [ (1.0, x); (2.0, y) ] Lp.Le 4.0);
+  ignore (Lp.add_constraint m [ (3.0, x); (1.0, y) ] Lp.Le 6.0);
+  Lp.set_objective m Lp.Maximize [ (1.0, x); (1.0, y) ];
+  match Simplex.solve ~engine:Simplex.Lu m with
+  | Simplex.Optimal s ->
+    let rejects what s' =
+      Alcotest.(check bool) what true (Result.is_error (Simplex.certify m s'))
+    in
+    Alcotest.(check bool) "optimum certified" true (certified m s);
+    rejects "shifted objective" { s with Simplex.objective = s.Simplex.objective +. 0.5 };
+    rejects "wrong dual sign"
+      { s with Simplex.duals = Array.map (fun d -> -.d) s.Simplex.duals };
+    rejects "suboptimal point"
+      { s with Simplex.values = [| 0.0; 0.0 |]; objective = 0.0 };
+    rejects "degraded" { s with Simplex.degraded = true }
+  | _ -> Alcotest.fail "instance must be optimal"
 
 (* ------------------------------------------------------------------ *)
 (* LU-engine differential suite: presolve + bounded variables + sparse
-   LU basis against the eta-file and dense oracles.                     *)
+   LU basis against the certificate and the dense oracle.               *)
 (* ------------------------------------------------------------------ *)
 
 let prop_lu_three_way_agree =
-  QCheck.Test.make ~name:"lu matches eta and dense objectives and duals"
+  QCheck.Test.make ~name:"lu matches dense objectives and duals"
     ~count:150
     QCheck.(small_int)
     (fun seed ->
@@ -348,21 +337,13 @@ let prop_lu_three_way_agree =
       let spec = random_lp_coefs rng in
       let m = build_lp spec in
       match
-        ( Simplex.solve ~engine:Simplex.Lu m,
-          Simplex.solve ~engine:Simplex.Revised m,
-          Simplex.solve ~engine:Simplex.Dense m )
+        (Simplex.solve ~engine:Simplex.Lu m, Simplex.solve ~engine:Simplex.Dense m)
       with
-      | Simplex.Optimal l, Simplex.Optimal r, Simplex.Optimal d ->
-        abs_float (l.Simplex.objective -. r.Simplex.objective) <= 1e-6
-        && abs_float (l.Simplex.objective -. d.Simplex.objective) <= 1e-6
+      | Simplex.Optimal l, Simplex.Optimal d ->
+        abs_float (l.Simplex.objective -. d.Simplex.objective) <= 1e-6
         && l.Simplex.engine = Simplex.Lu
-        && Simplex.feasible m l.Simplex.values
-        && (let ok = ref true in
-            for i = 0 to Lp.num_constraints m - 1 do
-              if abs_float (Simplex.dual l i -. Simplex.dual d i) > 1e-6 then
-                ok := false
-            done;
-            !ok)
+        && certified m l
+        && duals_agree m l d
       | _ -> false)
 
 let prop_lu_bound_respect =
@@ -372,8 +353,8 @@ let prop_lu_bound_respect =
     QCheck.(small_int)
     (fun seed ->
       (* Tight finite upper bounds that actually bind at the optimum:
-         the bounded ratio test must stop at them (the eta/dense
-         engines see the same bounds as explicit rows). *)
+         the bounded ratio test must stop at them (the dense engine
+         sees the same bounds as explicit rows). *)
       let rng = Prete_util.Rng.create (seed + 113_000) in
       let nv = 2 + Prete_util.Rng.int rng 5 in
       let ub = Array.init nv (fun _ -> Prete_util.Rng.uniform rng 0.5 4.0) in
@@ -395,6 +376,7 @@ let prop_lu_bound_respect =
       with
       | Simplex.Optimal l, Simplex.Optimal d ->
         abs_float (l.Simplex.objective -. d.Simplex.objective) <= 1e-6
+        && certified m l
         && Array.for_all2
              (fun v u -> v >= -1e-9 && v <= u +. 1e-9)
              l.Simplex.values ub
@@ -425,7 +407,8 @@ let test_lu_bound_flips () =
           (Printf.sprintf "x%d at its bound" j)
           (1.0 +. float_of_int j) v)
       s.Simplex.values;
-    Alcotest.(check bool) "bound flips recorded" true (s.Simplex.bound_flips >= n)
+    Alcotest.(check bool) "bound flips recorded" true (s.Simplex.bound_flips >= n);
+    Alcotest.(check bool) "certified" true (certified m s)
   | _ -> Alcotest.fail "bounded instance must be optimal"
 
 let prop_lu_presolve_roundtrip =
@@ -461,7 +444,7 @@ let prop_lu_presolve_roundtrip =
       with
       | Simplex.Optimal l, Simplex.Optimal d ->
         abs_float (l.Simplex.objective -. d.Simplex.objective) <= 1e-6
-        && Simplex.feasible m l.Simplex.values
+        && certified m l
         && Array.length l.Simplex.values = Lp.num_vars m
         && Array.length l.Simplex.duals = Lp.num_constraints m
         && l.Simplex.presolve_rows >= 1
@@ -479,10 +462,10 @@ let prop_lu_warm_equals_cold =
       let base = build_lp spec in
       let perturbed = build_lp ~slack_scale:0.7 spec in
       match Simplex.solve ~engine:Simplex.Lu base with
-      | Simplex.Optimal cold ->
+      | Simplex.Optimal cold when certified base cold ->
         let cold_p =
           match Simplex.solve ~engine:Simplex.Lu perturbed with
-          | Simplex.Optimal s -> Some s.Simplex.objective
+          | Simplex.Optimal s when certified perturbed s -> Some s.Simplex.objective
           | _ -> None
         in
         let warm_p =
@@ -497,6 +480,7 @@ let prop_lu_warm_equals_cold =
               (not s.Simplex.warm_used)
               || (not s.Simplex.phase1_skipped)
               || s.Simplex.refactorizations < 1
+              || not (certified perturbed s)
             then None
             else Some s.Simplex.objective
           | _ -> None
@@ -524,26 +508,22 @@ let test_mip_engine_passdown () =
       (Array.to_list (Array.mapi (fun j c -> (c, xs.(j))) v));
     m
   in
-  let run engine pricing =
+  let run engine =
     let st = Solver_stats.create () in
-    (match Mip.solve ~stats:st ~engine ~pricing (knapsack ()) with
+    (match Mip.solve ~stats:st ~engine (knapsack ()) with
     | Mip.Optimal _ -> ()
     | _ -> Alcotest.fail "knapsack must solve to optimality");
     st
   in
-  let st = run Simplex.Revised Simplex.Devex in
+  let st = run Simplex.Lu in
   Alcotest.(check bool) "several node LPs" true (st.Solver_stats.solves > 1);
-  Alcotest.(check int) "all nodes revised" st.Solver_stats.solves
-    st.Solver_stats.revised_solves;
+  Alcotest.(check int) "all nodes lu" st.Solver_stats.solves
+    st.Solver_stats.lu_solves;
   Alcotest.(check int) "no dense fallback" 0 st.Solver_stats.dense_solves;
-  Alcotest.(check int) "pricing recorded per node" st.Solver_stats.solves
-    (match List.assoc_opt "devex" st.Solver_stats.pricing_solves with
-    | Some n -> n
-    | None -> 0);
-  let st = run Simplex.Dense Simplex.Dantzig in
+  let st = run Simplex.Dense in
   Alcotest.(check int) "all nodes dense" st.Solver_stats.solves
     st.Solver_stats.dense_solves;
-  Alcotest.(check int) "no revised fallback" 0 st.Solver_stats.revised_solves
+  Alcotest.(check int) "no lu fallback" 0 st.Solver_stats.lu_solves
 
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
 
@@ -564,11 +544,11 @@ let () =
             prop_engines_agree_feasible;
             prop_engines_agree_infeasible;
             prop_engines_agree_unbounded;
-            prop_pricing_rules_agree;
-            prop_revised_warm_equals_cold;
           ]
         @ [ Alcotest.test_case "mip forwards engine to nodes" `Quick
-              test_mip_engine_passdown ] );
+              test_mip_engine_passdown;
+            Alcotest.test_case "certify rejects a non-optimum" `Quick
+              test_certify_rejects ] );
       ( "engine.lu",
         qsuite
           [
