@@ -1080,16 +1080,24 @@ let lp_scale () =
   (* The timing window is strictly the [Simplex.solve] call — models are
      built, stats recorded and certificates checked outside it, so
      warm-vs-cold speedups stay honest at sizes where instance
-     construction alone costs seconds. *)
+     construction alone costs seconds.  The same window counts the
+     minor-heap words the solve allocates, reported per pivot ([None]
+     for a solve that took no pivot). *)
   let solve ?warm engine m =
     let st = Solver_stats.create () in
+    let w0 = Gc.minor_words () in
     let t0 = Unix.gettimeofday () in
     match Simplex.solve ?warm ~engine m with
     | Simplex.Optimal sol ->
       let w = Unix.gettimeofday () -. t0 in
+      let words = Gc.minor_words () -. w0 in
       Solver_stats.record st sol;
       Solver_stats.add_wall st "solve" w;
-      (sol, st, w)
+      let per_pivot =
+        if sol.Simplex.iterations = 0 then None
+        else Some (words /. float_of_int sol.Simplex.iterations)
+      in
+      (sol, st, w, per_pivot)
     | Simplex.Infeasible | Simplex.Unbounded -> fail "LP not optimal"
   in
   let certify what size m sol =
@@ -1097,6 +1105,8 @@ let lp_scale () =
     | Ok () -> ()
     | Error e -> fail "%s LU solve at size %d fails its certificate: %s" what size e
   in
+  let words_txt = function Some w -> Printf.sprintf "%.0f" w | None -> "-" in
+  let words_json = function Some w -> Printf.sprintf "%.1f" w | None -> "null" in
   let entries = ref [] in
   let pts_lu = ref [] and pts_dense = ref [] in
   List.iter
@@ -1104,7 +1114,7 @@ let lp_scale () =
       let inst = lp_scale_instance ~k ~size in
       let model = lp_scale_model ~cap_scale:1.0 inst in
       let rows = Array.length (Lp.Internal.constraints model) in
-      let sol_l, st_l, w_l = solve Simplex.Lu model in
+      let sol_l, st_l, w_l, wpp_l = solve Simplex.Lu model in
       certify "cold" size model sol_l;
       let dense =
         if !dense_oracle && size <= dense_cap then Some (solve Simplex.Dense model)
@@ -1112,7 +1122,7 @@ let lp_scale () =
       in
       let dphi_dense =
         match dense with
-        | Some (s, _, _) -> Float.abs (s.Simplex.objective -. sol_l.Simplex.objective)
+        | Some (s, _, _, _) -> Float.abs (s.Simplex.objective -. sol_l.Simplex.objective)
         | None -> 0.0
       in
       if dphi_dense > 1e-9 then
@@ -1120,9 +1130,9 @@ let lp_scale () =
       (* Warm re-solve of the rhs-only perturbation under the LU engine,
          against its own cold baseline. *)
       let model' = lp_scale_model ~cap_scale:0.95 inst in
-      let sol_c, _, _ = solve Simplex.Lu model' in
+      let sol_c, _, _, _ = solve Simplex.Lu model' in
       certify "perturbed cold" size model' sol_c;
-      let sol_w, st_w, w_w = solve ~warm:sol_l.Simplex.basis Simplex.Lu model' in
+      let sol_w, st_w, w_w, wpp_w = solve ~warm:sol_l.Simplex.basis Simplex.Lu model' in
       certify "warm" size model' sol_w;
       let dwarm = Float.abs (sol_w.Simplex.objective -. sol_c.Simplex.objective) in
       if dwarm > 1e-9 then
@@ -1133,33 +1143,35 @@ let lp_scale () =
         fail "warm re-solve never refactorized at size %d" size;
       let dense_col =
         match dense with
-        | Some (_, st_d, w_d) ->
+        | Some (_, st_d, w_d, _) ->
           Printf.sprintf "dense %8.3f s / %5d pivots" w_d st_d.Solver_stats.pivots
         | None when not !dense_oracle -> "dense (off; --dense-oracle)"
         | None -> Printf.sprintf "dense (capped at %d)" dense_cap
       in
       Printf.printf
         "  %3dx%-3d (%5d rows): lu %8.3f s / %5d pivots (%d factors, %d ft, \
-         %d flips, fill %d)   %s   warm %8.3f s / %4d pivots   phi %.6f   \
-         certified\n%!"
+         %d flips, fill %d, %s words/pivot)   %s   warm %8.3f s / %4d \
+         pivots (%s words/pivot)   phi %.6f   certified\n%!"
         size size rows w_l st_l.Solver_stats.pivots
         st_l.Solver_stats.refactorizations st_l.Solver_stats.ft_updates
-        st_l.Solver_stats.bound_flips st_l.Solver_stats.lu_fill_nnz
-        dense_col w_w st_w.Solver_stats.pivots sol_l.Simplex.objective;
+        st_l.Solver_stats.bound_flips st_l.Solver_stats.lu_fill_nnz (words_txt wpp_l)
+        dense_col w_w st_w.Solver_stats.pivots (words_txt wpp_w) sol_l.Simplex.objective;
       let r = float_of_int rows in
       pts_lu := (r, w_l) :: !pts_lu;
       (match dense with
-      | Some (_, _, w_d) -> pts_dense := (r, w_d) :: !pts_dense
+      | Some (_, _, w_d, _) -> pts_dense := (r, w_d) :: !pts_dense
       | None -> ());
       entries :=
         Printf.sprintf
           "{\"size\": %d, \"rows\": %d, \"phi\": %.9f, \
-           \"phi_delta_dense\": %.3e, \"warm_phi_delta\": %.3e, \"lu\": %s, \
-           \"dense\": %s, \"warm\": %s}"
-          size rows sol_l.Simplex.objective dphi_dense dwarm
+           \"phi_delta_dense\": %.3e, \"warm_phi_delta\": %.3e, \
+           \"lu_words_per_pivot\": %s, \"warm_words_per_pivot\": %s, \
+           \"lu\": %s, \"dense\": %s, \"warm\": %s}"
+          size rows sol_l.Simplex.objective dphi_dense dwarm (words_json wpp_l)
+          (words_json wpp_w)
           (Solver_stats.to_json st_l)
           (match dense with
-          | Some (_, st_d, _) -> Solver_stats.to_json st_d
+          | Some (_, st_d, _, _) -> Solver_stats.to_json st_d
           | None -> "null")
           (Solver_stats.to_json st_w)
         :: !entries)

@@ -478,9 +478,10 @@ let availability ?pool ?bases env scheme ~scale =
     if Schemes.is_degradation_aware scheme then
       (* Each state's task owns exactly its own slot of [bases]
          (chunk-owned writes), so the caller-held cache stays inside the
-         pool's determinism contract; and because warm starts change
-         pivot counts but never results, the availability itself is
-         independent of whatever bases the cache held. *)
+         pool's determinism contract.  The availability does depend on
+         which bases the cache held: a warm start can land on a
+         different optimal vertex, which is why [Dfl.Oracle] anchors its
+         cache. *)
       Prete_exec.Pool.parallel_map pool ~chunk:1
         (fun i ->
           let degraded, _ = states.(i) in

@@ -83,9 +83,16 @@ val availability :
     state [i]'s plan solve and overwritten with the final basis that
     solve produced.  Repeated calls on the same env with nearby
     probability vectors — the decision-focused training oracle's access
-    pattern — then resolve in a handful of pivots instead of cold
-    solves.  Only degradation-aware schemes touch the cache; warm starts
-    change pivot counts, never results. *)
+    pattern — start each state's solves from the cached basis.  That
+    does not make them cheap: the δ-fixpoint changes the row set every
+    round, so warm fixed-δ solves rarely skip Phase 1 and the second
+    phase starts cold (on grid3 at scale 2 the 13 warm state plans took
+    62.9k pivots against 62.0k cold).  Nor does it leave the result
+    alone: a warm start can return a different optimal vertex with a
+    different delivered availability (grid3, scale 2: 0.983558 from a
+    cold call, 0.993316 through [Dfl.Oracle]'s anchored warm
+    path, at the same probabilities).  Only degradation-aware schemes
+    touch the cache. *)
 
 val availability_curve :
   ?pool:Prete_exec.Pool.t ->

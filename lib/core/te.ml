@@ -87,8 +87,10 @@ let capacity_terms (ts : Tunnels.t) =
   for lid = nl - 1 downto 0 do
     if Sparse.col_nnz by_link lid > 0 then begin
       let terms = ref [] in
-      Sparse.iter_col by_link lid (fun tid c -> terms := (tid, c) :: !terms);
-      acc := (lid, List.rev !terms) :: !acc
+      for k = by_link.Sparse.colptr.(lid + 1) - 1 downto by_link.Sparse.colptr.(lid) do
+        terms := (by_link.Sparse.rowidx.(k), by_link.Sparse.values.(k)) :: !terms
+      done;
+      acc := (lid, !terms) :: !acc
     end
   done;
   !acc

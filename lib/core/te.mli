@@ -49,8 +49,14 @@
     Benders master/subproblem iterations each reuse the previous basis
     via {!Prete_lp.Simplex}'s exact-reinstall / guided-repair path.
     [?warm_start:false] disables all reuse (the cold baseline the bench
-    compares against).  Warm starting changes pivot counts, never
-    results.  Per-call telemetry is accumulated in [solution.solver]
+    compares against).  A warm start reaches the same optimal Φ, but it
+    can land on a different optimal vertex, and with it a different
+    allocation and second-phase served share: on grid3's
+    no-degradation state at demand scale 2, Φ = 0.142007 either way,
+    while the second phase serves 0.98348 cold and 0.99340 warm from
+    the cold solve's basis.  Making the returned plan independent of
+    the start is an open ROADMAP item (engine independence).  Per-call
+    telemetry is accumulated in [solution.solver]
     (a {!Prete_lp.Solver_stats.t}). *)
 
 type problem = {

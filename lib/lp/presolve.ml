@@ -49,8 +49,9 @@ type action =
   | Row_singleton_eq of { row : int; col : int; coef : float }
   | Dup_group of {
       kept : int;
-      members : (int * float) list;  (* (row, coef at the anchor column),
-                                        kept included *)
+      rows : int array;  (* member rows, ascending; [kept] first *)
+      coefs : float array;  (* each member's coefficient at the anchor
+                               column *)
       ge_like : bool;  (* normalized sense: true when larger scaled rhs
                           is tighter *)
       eq : bool;
@@ -62,13 +63,16 @@ type t = {
   p_nc : int;
   sign : float;  (* Minimize -> 1.0, Maximize -> -1.0 *)
   cost_min : float array;  (* min-form costs over original columns *)
-  colview : (int * float) list array;  (* original column -> (row, coef) *)
+  cols : Sparse.t;  (* the original constraint matrix, read by column *)
   rhs_eff : float array;  (* per original row: rhs minus fixed-column
                              contributions (kept current for dead rows
                              too — duplicate-group postsolve needs it) *)
   r_nv : int;
   r_nc : int;
-  r_rows : (int * float) list array;  (* scaled reduced rows *)
+  r_ptr : int array;  (* scaled reduced rows: row ri spans
+                         r_ptr.(ri) .. r_ptr.(ri+1) - 1 *)
+  r_col : int array;  (* reduced column per entry, ascending in a row *)
+  r_val : float array;
   r_sense : Lp.sense array;
   r_rhs : float array;
   r_lb : float array;  (* scaled reduced bounds *)
@@ -90,6 +94,11 @@ type outcome = Reduced of t | Infeasible | Unbounded
 
 let feas = 1e-7
 
+(* Duplicate-row signature hash: sense, sign of the anchor coefficient
+   and every (column, coefficient / anchor) pair, the latter by its
+   IEEE bits. *)
+let[@inline] mix h x = ((h * 1_000_003) lxor x) land max_int
+
 let reduce model =
   let bounds = Lp.Internal.bounds model in
   let constrs = Lp.Internal.constraints model in
@@ -104,17 +113,33 @@ let reduce model =
   let sign = match dir with Lp.Minimize -> 1.0 | Lp.Maximize -> -1.0 in
   let cost_min = Array.map (fun c -> sign *. c) obj in
   let lb = Array.map fst bounds and ub = Array.map snd bounds in
-  let row_terms = Array.map (fun c -> c.Lp.Internal.terms) constrs in
   let row_sense = Array.map (fun c -> c.Lp.Internal.sense) constrs in
   let rhs_eff = Array.map (fun c -> c.Lp.Internal.rhs) constrs in
-  let colview = Array.make nv [] in
-  Array.iteri
-    (fun i terms ->
-      List.iter (fun (j, a) -> colview.(j) <- (i, a) :: colview.(j)) terms)
-    row_terms;
-  Array.iteri (fun j l -> colview.(j) <- List.rev l) colview;
+  (* Column view in ascending row order, then the row view it induces:
+     each row's terms in ascending column order. *)
+  let cols =
+    let rp = Array.make (nc + 1) 0 in
+    Array.iteri (fun i c -> rp.(i + 1) <- rp.(i) + List.length c.Lp.Internal.terms) constrs;
+    let ri = Array.make rp.(nc) 0 and rv = Array.make rp.(nc) 0.0 in
+    Array.iteri
+      (fun i c ->
+        List.iteri
+          (fun k (j, a) ->
+            ri.(rp.(i) + k) <- j;
+            rv.(rp.(i) + k) <- a)
+          c.Lp.Internal.terms)
+      constrs;
+    Sparse.of_rows ~rows:nc ~cols:nv rp ri rv
+  in
+  let col_ptr = cols.Sparse.colptr
+  and col_row = cols.Sparse.rowidx
+  and col_coef = cols.Sparse.values in
+  let rows = Sparse.transpose cols in
+  let row_ptr = rows.Sparse.colptr
+  and row_col = rows.Sparse.rowidx
+  and row_coef = rows.Sparse.values in
   let row_alive = Array.make nc true and col_alive = Array.make nv true in
-  let rowlen = Array.map List.length row_terms in
+  let rowlen = Array.init nc (fun i -> row_ptr.(i + 1) - row_ptr.(i)) in
   let fixed = Array.make nv 0.0 in
   let actions = ref [] in
   let failure = ref None in
@@ -122,17 +147,14 @@ let reduce model =
   let fix_col j v =
     col_alive.(j) <- false;
     fixed.(j) <- v;
-    List.iter
-      (fun (i, a) ->
-        rhs_eff.(i) <- rhs_eff.(i) -. (a *. v);
-        if row_alive.(i) then rowlen.(i) <- rowlen.(i) - 1)
-      colview.(j);
+    for k = col_ptr.(j) to col_ptr.(j + 1) - 1 do
+      let i = col_row.(k) in
+      rhs_eff.(i) <- rhs_eff.(i) -. (col_coef.(k) *. v);
+      if row_alive.(i) then rowlen.(i) <- rowlen.(i) - 1
+    done;
     if v < lb.(j) -. (feas *. (1.0 +. Float.abs v))
        || v > ub.(j) +. (feas *. (1.0 +. Float.abs v))
     then fail Infeasible
-  in
-  let alive_terms i =
-    List.filter (fun (j, _) -> col_alive.(j)) row_terms.(i)
   in
   (* ---- Row scan: empty and singleton rows ---- *)
   let scan_rows () =
@@ -151,8 +173,15 @@ let reduce model =
           changed := true
         end
         else if rowlen.(i) = 1 then begin
-          match alive_terms i with
-          | [ (j, a) ] ->
+          let alive = ref 0 and at = ref (-1) in
+          for k = row_ptr.(i) to row_ptr.(i + 1) - 1 do
+            if col_alive.(row_col.(k)) then begin
+              incr alive;
+              at := k
+            end
+          done;
+          if !alive = 1 then begin
+            let j = row_col.(!at) and a = row_coef.(!at) in
             let v = rhs_eff.(i) /. a in
             (match row_sense.(i) with
             | Lp.Eq ->
@@ -181,69 +210,129 @@ let reduce model =
               if lb.(j) > ub.(j) +. (1e-9 *. (1.0 +. Float.abs ub.(j))) then
                 fail Infeasible);
             changed := true
-          | _ -> ()
+          end
         end
     done;
     !changed
   in
+  (* First alive entry of row i (its anchor), or -1. *)
+  let anchor i =
+    let k = ref row_ptr.(i) in
+    while !k < row_ptr.(i + 1) && not col_alive.(row_col.(!k)) do
+      incr k
+    done;
+    if !k < row_ptr.(i + 1) then !k else -1
+  in
+  (* Rows i and i' (anchors k0, k0') have the same normalized signature:
+     sense, anchor sign, and alive (column, coef / anchor) sequence. *)
+  let same_signature i k0 i' k0' =
+    row_sense.(i) = row_sense.(i')
+    && row_coef.(k0) > 0.0 = (row_coef.(k0') > 0.0)
+    && rowlen.(i) = rowlen.(i')
+    && begin
+      let c0 = row_coef.(k0) and c0' = row_coef.(k0') in
+      let k = ref k0 and k' = ref k0' and same = ref true in
+      let e = row_ptr.(i + 1) and e' = row_ptr.(i' + 1) in
+      while !same && (!k < e || !k' < e') do
+        while !k < e && not col_alive.(row_col.(!k)) do incr k done;
+        while !k' < e' && not col_alive.(row_col.(!k')) do incr k' done;
+        if !k < e && !k' < e' then begin
+          if
+            row_col.(!k) <> row_col.(!k')
+            || Int64.bits_of_float (row_coef.(!k) /. c0)
+               <> Int64.bits_of_float (row_coef.(!k') /. c0')
+          then same := false;
+          incr k;
+          incr k'
+        end
+        else if !k < e || !k' < e' then same := false
+      done;
+      !same
+    end
+  in
   (* ---- Duplicate rows: equal patterns up to a positive scale ---- *)
   let scan_dups () =
     let changed = ref false in
-    let tbl = Hashtbl.create 64 in
-    let sigbuf = Buffer.create 128 in
+    (* Open-addressing table from signature hash to group; a group is
+       named by its first (kept) row. *)
+    let size = ref 16 in
+    while !size < 2 * nc do size := 2 * !size done;
+    let mask = !size - 1 in
+    let slot_row = Array.make !size (-1) and slot_hash = Array.make !size 0 in
+    let group_of = Array.make nc (-1) in
+    let n_members = Array.make nc 0 in
     for i = 0 to nc - 1 do
       if !failure = None && row_alive.(i) && rowlen.(i) >= 2 then begin
-        let terms = alive_terms i in
-        let terms = List.sort (fun (a, _) (b, _) -> compare a b) terms in
-        match terms with
-        | (_, c0) :: _ ->
-          Buffer.clear sigbuf;
-          Buffer.add_string sigbuf
-            (match row_sense.(i) with Lp.Le -> "L" | Lp.Ge -> "G" | Lp.Eq -> "E");
-          Buffer.add_string sigbuf (if c0 > 0.0 then "+" else "-");
-          List.iter
-            (fun (j, a) ->
-              Buffer.add_string sigbuf (Printf.sprintf "|%d:%h" j (a /. c0)))
-            terms;
-          let key = Buffer.contents sigbuf in
-          (match Hashtbl.find_opt tbl key with
-          | None -> Hashtbl.add tbl key (i, c0, ref [ (i, c0) ])
-          | Some (kept, ck, members) ->
-            members := (i, c0) :: !members;
-            (* Fold row i into [kept]: keep the tighter scaled rhs. *)
-            let tk = rhs_eff.(kept) /. ck and ti = rhs_eff.(i) /. c0 in
-            let ge_like = (row_sense.(i) = Lp.Ge) = (c0 > 0.0) in
-            (match row_sense.(i) with
-            | Lp.Eq ->
-              if Float.abs (tk -. ti) > feas *. (1.0 +. Float.abs tk) then
-                fail Infeasible
-            | Lp.Le | Lp.Ge ->
-              let tighter = if ge_like then ti > tk else ti < tk in
-              if tighter then rhs_eff.(kept) <- ti *. ck);
-            row_alive.(i) <- false;
-            changed := true)
-        | [] -> ()
+        let k0 = anchor i in
+        let c0 = row_coef.(k0) in
+        let sense = match row_sense.(i) with Lp.Le -> 1 | Lp.Ge -> 2 | Lp.Eq -> 3 in
+        let h = ref (mix (mix 0 sense) (if c0 > 0.0 then 1 else 0)) in
+        for k = k0 to row_ptr.(i + 1) - 1 do
+          let j = row_col.(k) in
+          if col_alive.(j) then
+            h := mix (mix !h j) (Int64.to_int (Int64.bits_of_float (row_coef.(k) /. c0)))
+        done;
+        let h = !h in
+        let p = ref (h land mask) and kept = ref (-1) in
+        while !kept = -1 && slot_row.(!p) >= 0 do
+          let r = slot_row.(!p) in
+          if slot_hash.(!p) = h && same_signature i k0 r (anchor r) then kept := r
+          else p := (!p + 1) land mask
+        done;
+        if !kept = -1 then begin
+          slot_row.(!p) <- i;
+          slot_hash.(!p) <- h;
+          group_of.(i) <- i;
+          n_members.(i) <- 1
+        end
+        else begin
+          let kept = !kept in
+          group_of.(i) <- kept;
+          n_members.(kept) <- n_members.(kept) + 1;
+          (* Fold row i into [kept]: keep the tighter scaled rhs. *)
+          let ck = row_coef.(anchor kept) in
+          let tk = rhs_eff.(kept) /. ck and ti = rhs_eff.(i) /. c0 in
+          let ge_like = (row_sense.(i) = Lp.Ge) = (c0 > 0.0) in
+          (match row_sense.(i) with
+          | Lp.Eq ->
+            if Float.abs (tk -. ti) > feas *. (1.0 +. Float.abs tk) then
+              fail Infeasible
+          | Lp.Le | Lp.Ge ->
+            let tighter = if ge_like then ti > tk else ti < tk in
+            if tighter then rhs_eff.(kept) <- ti *. ck);
+          row_alive.(i) <- false;
+          changed := true
+        end
       end
     done;
-    (* Record one action per multi-member group, deterministically in
-       kept-row order. *)
-    let groups = ref [] in
-    Hashtbl.iter
-      (fun _ (kept, _, members) ->
-        if List.length !members > 1 then groups := (kept, !members) :: !groups)
-      tbl;
-    List.iter
-      (fun (kept, members) ->
-        let members = List.sort (fun (a, _) (b, _) -> compare a b) members in
-        let ge_like =
-          match members with
-          | (r0, c0) :: _ -> (row_sense.(r0) = Lp.Ge) = (c0 > 0.0)
-          | [] -> false
-        in
+    (* Record one action per multi-member group, in kept-row order.  A
+       member's anchor coefficient is read before any column moves, so
+       it is the one its signature was built from. *)
+    let filled = Array.make nc 0 in
+    let rows = Array.make nc [||] and coefs = Array.make nc [||] in
+    for i = 0 to nc - 1 do
+      let g = group_of.(i) in
+      if g >= 0 && n_members.(g) > 1 then begin
+        if filled.(g) = 0 then begin
+          rows.(g) <- Array.make n_members.(g) 0;
+          coefs.(g) <- Array.make n_members.(g) 0.0
+        end;
+        rows.(g).(filled.(g)) <- i;
+        coefs.(g).(filled.(g)) <- row_coef.(anchor i);
+        filled.(g) <- filled.(g) + 1
+      end
+    done;
+    for kept = 0 to nc - 1 do
+      if group_of.(kept) = kept && n_members.(kept) > 1 then begin
+        let c0 = coefs.(kept).(0) in
+        let ge_like = (row_sense.(kept) = Lp.Ge) = (c0 > 0.0) in
         actions :=
-          Dup_group { kept; members; ge_like; eq = row_sense.(kept) = Lp.Eq }
-          :: !actions)
-      (List.sort compare !groups);
+          Dup_group
+            { kept; rows = rows.(kept); coefs = coefs.(kept); ge_like;
+              eq = row_sense.(kept) = Lp.Eq }
+          :: !actions
+      end
+    done;
     !changed
   in
   (* ---- Column scan: empty and dominated columns ---- *)
@@ -251,8 +340,19 @@ let reduce model =
     let changed = ref false in
     for j = 0 to nv - 1 do
       if !failure = None && col_alive.(j) then begin
-        let occ = List.filter (fun (i, _) -> row_alive.(i)) colview.(j) in
-        if occ = [] then begin
+        let occupied = ref false and dominated = ref true in
+        for k = col_ptr.(j) to col_ptr.(j + 1) - 1 do
+          let i = col_row.(k) in
+          if row_alive.(i) then begin
+            occupied := true;
+            let a = col_coef.(k) in
+            match row_sense.(i) with
+            | Lp.Le -> if a < 0.0 then dominated := false
+            | Lp.Ge -> if a > 0.0 then dominated := false
+            | Lp.Eq -> dominated := false
+          end
+        done;
+        if not !occupied then begin
           let v =
             if cost_min.(j) < 0.0 then ub.(j)
             else lb.(j)
@@ -264,21 +364,10 @@ let reduce model =
             changed := true
           end
         end
-        else if cost_min.(j) >= 0.0 then begin
-          let dominated =
-            List.for_all
-              (fun (i, a) ->
-                match row_sense.(i) with
-                | Lp.Le -> a >= 0.0
-                | Lp.Ge -> a <= 0.0
-                | Lp.Eq -> false)
-              occ
-          in
-          if dominated then begin
-            actions := Col_fixed { col = j; value = lb.(j) } :: !actions;
-            fix_col j lb.(j);
-            changed := true
-          end
+        else if cost_min.(j) >= 0.0 && !dominated then begin
+          actions := Col_fixed { col = j; value = lb.(j) } :: !actions;
+          fix_col j lb.(j);
+          changed := true
         end
       end
     done;
@@ -298,67 +387,79 @@ let reduce model =
   | None ->
     (* ---- Materialize the reduced problem ---- *)
     let col_map = Array.make nv (-1) and row_map = Array.make nc (-1) in
-    let col_of =
-      let acc = ref [] in
-      for j = nv - 1 downto 0 do
-        if col_alive.(j) then acc := j :: !acc
-      done;
-      Array.of_list !acc
-    in
-    Array.iteri (fun rj j -> col_map.(j) <- rj) col_of;
-    let row_of =
-      let acc = ref [] in
-      for i = nc - 1 downto 0 do
-        if row_alive.(i) then acc := i :: !acc
-      done;
-      Array.of_list !acc
-    in
-    Array.iteri (fun ri i -> row_map.(i) <- ri) row_of;
-    let r_nv = Array.length col_of and r_nc = Array.length row_of in
-    let raw_rows =
-      Array.map
-        (fun i ->
-          alive_terms i
-          |> List.map (fun (j, a) -> (col_map.(j), a))
-          |> List.sort (fun (a, _) (b, _) -> compare a b))
-        row_of
-    in
+    let r_nv = ref 0 and r_nc = ref 0 in
+    for j = 0 to nv - 1 do
+      if col_alive.(j) then begin
+        col_map.(j) <- !r_nv;
+        incr r_nv
+      end
+    done;
+    for i = 0 to nc - 1 do
+      if row_alive.(i) then begin
+        row_map.(i) <- !r_nc;
+        incr r_nc
+      end
+    done;
+    let r_nv = !r_nv and r_nc = !r_nc in
+    let col_of = Array.make r_nv 0 and row_of = Array.make r_nc 0 in
+    Array.iteri (fun j rj -> if rj >= 0 then col_of.(rj) <- j) col_map;
+    Array.iteri (fun i ri -> if ri >= 0 then row_of.(ri) <- i) row_map;
+    (* Surviving terms of the surviving rows; [col_map] is increasing, so
+       each row stays in ascending reduced-column order. *)
+    let r_ptr = Array.make (r_nc + 1) 0 in
+    Array.iteri
+      (fun ri i ->
+        let cnt = ref 0 in
+        for k = row_ptr.(i) to row_ptr.(i + 1) - 1 do
+          if col_alive.(row_col.(k)) then incr cnt
+        done;
+        r_ptr.(ri + 1) <- r_ptr.(ri) + !cnt)
+      row_of;
+    let r_col = Array.make r_ptr.(r_nc) 0 and raw = Array.make r_ptr.(r_nc) 0.0 in
+    Array.iteri
+      (fun ri i ->
+        let w = ref r_ptr.(ri) in
+        for k = row_ptr.(i) to row_ptr.(i + 1) - 1 do
+          let j = row_col.(k) in
+          if col_alive.(j) then begin
+            r_col.(!w) <- col_map.(j);
+            raw.(!w) <- row_coef.(k);
+            incr w
+          end
+        done)
+      row_of;
     (* ---- Geometric-mean equilibration over the surviving structure ---- *)
     let rho = Array.make r_nc 1.0 and kap = Array.make r_nv 1.0 in
-    let rcolview = Array.make r_nv [] in
-    Array.iteri
-      (fun ri terms -> List.iter (fun (rj, a) -> rcolview.(rj) <- (ri, a) :: rcolview.(rj)) terms)
-      raw_rows;
+    let rcols = Sparse.of_rows ~rows:r_nc ~cols:r_nv r_ptr r_col raw in
+    let c_ptr = rcols.Sparse.colptr
+    and c_row = rcols.Sparse.rowidx
+    and c_raw = rcols.Sparse.values in
     for _ = 1 to 2 do
-      Array.iteri
-        (fun ri terms ->
-          let mn = ref infinity and mx = ref 0.0 in
-          List.iter
-            (fun (rj, a) ->
-              let v = Float.abs (a *. kap.(rj)) in
-              if v < !mn then mn := v;
-              if v > !mx then mx := v)
-            terms;
-          if !mx > 0.0 then rho.(ri) <- 1.0 /. sqrt (!mn *. !mx))
-        raw_rows;
-      Array.iteri
-        (fun rj occ ->
-          let mn = ref infinity and mx = ref 0.0 in
-          List.iter
-            (fun (ri, a) ->
-              let v = Float.abs (a *. rho.(ri)) in
-              if v < !mn then mn := v;
-              if v > !mx then mx := v)
-            occ;
-          if !mx > 0.0 then kap.(rj) <- 1.0 /. sqrt (!mn *. !mx))
-        rcolview
+      for ri = 0 to r_nc - 1 do
+        let mn = ref infinity and mx = ref 0.0 in
+        for k = r_ptr.(ri) to r_ptr.(ri + 1) - 1 do
+          let v = Float.abs (raw.(k) *. kap.(r_col.(k))) in
+          if v < !mn then mn := v;
+          if v > !mx then mx := v
+        done;
+        if !mx > 0.0 then rho.(ri) <- 1.0 /. sqrt (!mn *. !mx)
+      done;
+      for rj = 0 to r_nv - 1 do
+        let mn = ref infinity and mx = ref 0.0 in
+        for k = c_ptr.(rj) to c_ptr.(rj + 1) - 1 do
+          let v = Float.abs (c_raw.(k) *. rho.(c_row.(k))) in
+          if v < !mn then mn := v;
+          if v > !mx then mx := v
+        done;
+        if !mx > 0.0 then kap.(rj) <- 1.0 /. sqrt (!mn *. !mx)
+      done
     done;
-    let r_rows =
-      Array.mapi
-        (fun ri terms ->
-          List.map (fun (rj, a) -> (rj, a *. rho.(ri) *. kap.(rj))) terms)
-        raw_rows
-    in
+    let r_val = raw in
+    for ri = 0 to r_nc - 1 do
+      for k = r_ptr.(ri) to r_ptr.(ri + 1) - 1 do
+        r_val.(k) <- raw.(k) *. rho.(ri) *. kap.(r_col.(k))
+      done
+    done;
     let r_sense = Array.map (fun i -> row_sense.(i)) row_of in
     let r_rhs = Array.mapi (fun ri i -> rhs_eff.(i) *. rho.(ri)) row_of in
     let r_lb = Array.mapi (fun rj j -> lb.(j) /. kap.(rj)) col_of in
@@ -377,11 +478,13 @@ let reduce model =
         p_nc = nc;
         sign;
         cost_min;
-        colview;
+        cols;
         rhs_eff;
         r_nv;
         r_nc;
-        r_rows;
+        r_ptr;
+        r_col;
+        r_val;
         r_sense;
         r_rhs;
         r_lb;
@@ -411,9 +514,12 @@ let postsolve t ~x ~y =
   (* Residual min-form reduced cost of an original column under the
      current original-row duals. *)
   let reduced_cost j =
-    List.fold_left
-      (fun acc (i, a) -> acc -. (a *. yo.(i)))
-      t.cost_min.(j) t.colview.(j)
+    let a = t.cols in
+    let acc = ref t.cost_min.(j) in
+    for k = a.Sparse.colptr.(j) to a.Sparse.colptr.(j + 1) - 1 do
+      acc := !acc -. (a.Sparse.values.(k) *. yo.(a.Sparse.rowidx.(k)))
+    done;
+    !acc
   in
   (* Actions head = last applied, so walking the list is already the
      reverse (LIFO) replay order. *)
@@ -432,24 +538,25 @@ let postsolve t ~x ~y =
           let yv = if le then Float.min yv 0.0 else Float.max yv 0.0 in
           yo.(row) <- yv
         end
-      | Dup_group { kept; members; ge_like; eq } ->
-        let ck = List.assoc kept members in
+      | Dup_group { kept; rows; coefs; ge_like; eq } ->
+        let ck = coefs.(0) in
         let yk = yo.(kept) in
         if yk <> 0.0 then begin
-          let tight =
-            if eq then (kept, ck)
-            else
-              List.fold_left
-                (fun (bi, bc) (i, c) ->
-                  let tb = t.rhs_eff.(bi) /. bc and ti = t.rhs_eff.(i) /. c in
-                  let better = if ge_like then ti > tb else ti < tb in
-                  if better then (i, c) else (bi, bc))
-                (List.hd members) (List.tl members)
-          in
-          let ti, tc = tight in
-          if ti <> kept then begin
+          (* The member whose constraint is actually tight. *)
+          let ti = ref kept and tc = ref ck in
+          if not eq then
+            for k = 1 to Array.length rows - 1 do
+              let i = rows.(k) and c = coefs.(k) in
+              let tb = t.rhs_eff.(!ti) /. !tc and tv = t.rhs_eff.(i) /. c in
+              let better = if ge_like then tv > tb else tv < tb in
+              if better then begin
+                ti := i;
+                tc := c
+              end
+            done;
+          if !ti <> kept then begin
             yo.(kept) <- 0.0;
-            yo.(ti) <- yk *. ck /. tc
+            yo.(!ti) <- yk *. ck /. !tc
           end
         end)
     t.actions;

@@ -16,13 +16,16 @@ type t = {
   p_nc : int;  (** original row count *)
   sign : float;  (** Minimize -> [1.0], Maximize -> [-1.0] *)
   cost_min : float array;  (** min-form costs over original columns *)
-  colview : (int * float) list array;
-      (** original column -> (row, coef) occurrences *)
+  cols : Sparse.t;  (** the original constraint matrix, read by column *)
   rhs_eff : float array;
       (** per original row: rhs minus fixed-column contributions *)
   r_nv : int;  (** reduced column count *)
   r_nc : int;  (** reduced row count *)
-  r_rows : (int * float) list array;  (** scaled reduced rows *)
+  r_ptr : int array;
+      (** scaled reduced rows: row [ri] spans [r_ptr.(ri) .. r_ptr.(ri+1) - 1]
+          of [r_col]/[r_val] *)
+  r_col : int array;  (** reduced column per entry, ascending in a row *)
+  r_val : float array;
   r_sense : Lp.sense array;
   r_rhs : float array;
   r_lb : float array;  (** scaled reduced bounds *)

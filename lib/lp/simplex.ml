@@ -671,6 +671,16 @@ module Blu = struct
   and at_upper = 1
   and basic = 2
 
+  (* Column j of A dotted with y.  It lives here rather than in {!Sparse}
+     so that it inlines into the pricing loops and its float result stays
+     unboxed there. *)
+  let[@inline] col_dot (a : Sparse.t) j y =
+    let acc = ref 0.0 in
+    for k = a.Sparse.colptr.(j) to a.Sparse.colptr.(j + 1) - 1 do
+      acc := !acc +. (a.Sparse.values.(k) *. y.(a.Sparse.rowidx.(k)))
+    done;
+    !acc
+
   type state = {
     m : int;  (* reduced rows *)
     n : int;  (* columns: structural | slack | surplus | artificial *)
@@ -688,7 +698,7 @@ module Blu = struct
                           rangeless columns and all logicals *)
     xb : float array;
     cost : float array;  (* phase-2 min-form scaled cost *)
-    mutable f : Sparse.Lu.t;
+    f : Sparse.Lu.t;  (* refactorized in place *)
     mutable base_nnz : int;  (* factor nnz right after the last refactor *)
     mutable pp_cursor : int;
     w : float array;
@@ -731,11 +741,15 @@ module Blu = struct
   (* Resynchronize x_B = B⁻¹(b - Σ_{at-upper j} u_j A_j). *)
   let compute_xb st =
     Array.blit st.b 0 st.xb 0 st.m;
+    let a = st.a in
     for j = 0 to st.n - 1 do
       if st.vstat.(j) = at_upper then begin
         let uj = st.ub.(j) in
         if uj > 0.0 && uj < infinity then
-          Sparse.iter_col st.a j (fun i v -> st.xb.(i) <- st.xb.(i) -. (uj *. v))
+          for k = a.Sparse.colptr.(j) to a.Sparse.colptr.(j + 1) - 1 do
+            let i = a.Sparse.rowidx.(k) in
+            st.xb.(i) <- st.xb.(i) -. (uj *. a.Sparse.values.(k))
+          done
       end
     done;
     ftran st st.xb;
@@ -751,12 +765,11 @@ module Blu = struct
   let refactor st =
     st.c_factor <- st.c_factor + 1;
     let basis_out = Array.make st.m (-1) in
-    let f, dropped =
-      Sparse.Lu.factorize st.a ~targets:st.basis ~crash:st.crash ~basis_out
+    let dropped =
+      Sparse.Lu.refactorize st.f st.a ~targets:st.basis ~crash:st.crash ~basis_out
     in
     if dropped <> [] then raise Singular;
-    st.f <- f;
-    st.base_nnz <- Sparse.Lu.nnz f;
+    st.base_nnz <- Sparse.Lu.nnz st.f;
     Array.blit basis_out 0 st.basis 0 st.m;
     compute_xb st
 
@@ -771,15 +784,18 @@ module Blu = struct
 
   let make_state (red : Presolve.t) =
     let nv = red.Presolve.r_nv and m = red.Presolve.r_nc in
+    let r_ptr = red.Presolve.r_ptr
+    and r_col = red.Presolve.r_col
+    and r_val = red.Presolve.r_val in
     (* Shift x = r_lb + x' and flip negative-rhs rows in-matrix, exactly
        like [prepare] — the column layout depends only on the senses. *)
     let rhs = Array.make m 0.0 in
     for i = 0 to m - 1 do
-      rhs.(i) <-
-        List.fold_left
-          (fun acc (rj, a) -> acc -. (a *. red.Presolve.r_lb.(rj)))
-          red.Presolve.r_rhs.(i)
-          red.Presolve.r_rows.(i)
+      let acc = ref red.Presolve.r_rhs.(i) in
+      for k = r_ptr.(i) to r_ptr.(i + 1) - 1 do
+        acc := !acc -. (r_val.(k) *. red.Presolve.r_lb.(r_col.(k)))
+      done;
+      rhs.(i) <- !acc
     done;
     let flipped = Array.map (fun r -> r < 0.0) rhs in
     let nslack = ref 0 and nsurplus = ref 0 in
@@ -796,32 +812,49 @@ module Blu = struct
     let b = Array.make m 0.0 in
     let next_slack = ref nv in
     let next_surplus = ref (nv + !nslack) in
-    let trips = ref [] in
+    (* Rows of [ A | slack/surplus | artificial ]: structural entries,
+       then the row's logical, then its artificial. *)
+    let ptr = Array.make (m + 1) 0 in
+    let cap = r_ptr.(m) + (2 * m) in
+    let idx = Array.make cap 0 and vals = Array.make cap 0.0 in
+    let w = ref 0 in
     for i = 0 to m - 1 do
       let s = if flipped.(i) then -1.0 else 1.0 in
-      List.iter
-        (fun (rj, c) -> trips := (i, rj, s *. c) :: !trips)
-        red.Presolve.r_rows.(i);
+      for k = r_ptr.(i) to r_ptr.(i + 1) - 1 do
+        let v = s *. r_val.(k) in
+        if v <> 0.0 then begin
+          idx.(!w) <- r_col.(k);
+          vals.(!w) <- v;
+          incr w
+        end
+      done;
       b.(i) <- s *. rhs.(i);
       let ja = art0 + i in
       kinds.(ja) <- Artificial i;
-      trips := (i, ja, 1.0) :: !trips;
       (match red.Presolve.r_sense.(i) with
       | Lp.Le ->
         let j = !next_slack in
         incr next_slack;
         kinds.(j) <- Slack i;
-        trips := (i, j, s) :: !trips;
+        idx.(!w) <- j;
+        vals.(!w) <- s;
+        incr w;
         crash.(i) <- (if flipped.(i) then ja else j)
       | Lp.Ge ->
         let js = !next_surplus in
         incr next_surplus;
         kinds.(js) <- Surplus i;
-        trips := (i, js, -.s) :: !trips;
+        idx.(!w) <- js;
+        vals.(!w) <- -.s;
+        incr w;
         crash.(i) <- (if flipped.(i) then js else ja)
-      | Lp.Eq -> crash.(i) <- ja)
+      | Lp.Eq -> crash.(i) <- ja);
+      idx.(!w) <- ja;
+      vals.(!w) <- 1.0;
+      incr w;
+      ptr.(i + 1) <- !w
     done;
-    let a = Sparse.of_triplets ~rows:m ~cols:n !trips in
+    let a = Sparse.of_rows ~rows:m ~cols:n ptr idx vals in
     let at = Sparse.transpose a in
     let ub = Array.make n infinity in
     for j = 0 to nv - 1 do
@@ -855,10 +888,14 @@ module Blu = struct
 
   let compute_d st cost =
     Array.blit cost 0 st.d 0 st.n;
+    let at = st.at in
     for i = 0 to st.m - 1 do
       let yi = st.y.(i) in
       if yi <> 0.0 then
-        Sparse.iter_col st.at i (fun j aij -> st.d.(j) <- st.d.(j) -. (aij *. yi))
+        for k = at.Sparse.colptr.(i) to at.Sparse.colptr.(i + 1) - 1 do
+          let j = at.Sparse.rowidx.(k) in
+          st.d.(j) <- st.d.(j) -. (at.Sparse.values.(k) *. yi)
+        done
     done
 
   let arts_zero st =
@@ -994,26 +1031,29 @@ module Blu = struct
         and best_up = ref false in
         for i = 0 to st.m - 1 do
           let wi = sigma *. st.w.(i) in
-          let consider exact up =
-            if exact <= !tmax then begin
-              let a = Float.abs st.w.(i) in
-              if
-                a > !best_piv
-                || (a = !best_piv && !best >= 0
-                    && st.basis.(i) < st.basis.(!best))
-              then begin
-                best := i;
-                best_piv := a;
-                best_ratio := exact;
-                best_up := up
-              end
+          (* Rows that cannot block get an infinite ratio, which never
+             fits under the finite [tmax]. *)
+          let exact =
+            if wi > eps then Float.max 0.0 st.xb.(i) /. wi
+            else if wi < -.eps then begin
+              let ubi = st.ub.(st.basis.(i)) in
+              if ubi < infinity then Float.max 0.0 (ubi -. st.xb.(i)) /. -.wi
+              else infinity
             end
+            else infinity
           in
-          if wi > eps then consider (Float.max 0.0 st.xb.(i) /. wi) false
-          else if wi < -.eps then begin
-            let ubi = st.ub.(st.basis.(i)) in
-            if ubi < infinity then
-              consider (Float.max 0.0 (ubi -. st.xb.(i)) /. -.wi) true
+          if exact <= !tmax then begin
+            let a = Float.abs st.w.(i) in
+            if
+              a > !best_piv
+              || (a = !best_piv && !best >= 0
+                  && st.basis.(i) < st.basis.(!best))
+            then begin
+              best := i;
+              best_piv := a;
+              best_ratio := exact;
+              best_up := wi < 0.0
+            end
           end
         done;
         if !best = -1 then (if uq < infinity then `Flip else `Unbounded)
@@ -1021,6 +1061,32 @@ module Blu = struct
         else `Pivot (!best, !best_ratio, !best_up)
       end
     end
+
+  (* Zero-range columns can never move: exclude them outright. *)
+  let[@inline] eligible st banned j =
+    (not (banned j)) && st.vstat.(j) <> basic && st.ub.(j) > 0.0
+
+  (* Signed attractiveness: at-lower wants d < 0, at-upper wants d > 0. *)
+  let[@inline] attract st j dj =
+    if st.vstat.(j) = at_lower then (if dj < -.eps then -.dj else 0.0)
+    else if dj > eps then dj
+    else 0.0
+
+  (* Most attractive eligible column by the full reduced costs in [st.d],
+     among the [pref] columns when given; -1 when there is none. *)
+  let best_priced st ~banned pref =
+    let best = ref 0.0 and entering = ref (-1) in
+    for j = 0 to st.n - 1 do
+      if (match pref with Some p -> p.(j) | None -> true) && eligible st banned j
+      then begin
+        let aj = attract st j st.d.(j) in
+        if aj > !best then begin
+          best := aj;
+          entering := j
+        end
+      end
+    done;
+    !entering
 
   (* One optimization phase with signed attractiveness (at-lower wants
      d < 0, at-upper wants d > 0) and bound flips counted as iterations.
@@ -1036,15 +1102,6 @@ module Blu = struct
       || (!iters land 63 = 0 && Prete_util.Clock.expired deadline)
     in
     let seg = Stdlib.max 64 (st.n / 8) in
-    (* Zero-range columns can never move: exclude them outright. *)
-    let eligible j =
-      (not (banned j)) && st.vstat.(j) <> basic && st.ub.(j) > 0.0
-    in
-    let attract j dj =
-      if st.vstat.(j) = at_lower then (if dj < -.eps then -.dj else 0.0)
-      else if dj > eps then dj
-      else 0.0
-    in
     let rec loop () =
       if out_of_budget () then `Budget
       else begin
@@ -1053,33 +1110,19 @@ module Blu = struct
         let need_full = use_bland || prefer <> None in
         if need_full then compute_d st cost;
         let entering = ref (-1) in
-        let best_of keep =
-          let best = ref 0.0 in
-          for j = 0 to st.n - 1 do
-            if keep j && eligible j then begin
-              let aj = attract j st.d.(j) in
-              if aj > !best then begin
-                best := aj;
-                entering := j
-              end
-            end
-          done
-        in
         (if use_bland then begin
-           try
-             for j = 0 to st.n - 1 do
-               if eligible j && attract j st.d.(j) > 0.0 then begin
-                 entering := j;
-                 raise Exit
-               end
-             done
-           with Exit -> ()
+           let j = ref 0 in
+           while !entering = -1 && !j < st.n do
+             if eligible st banned !j && attract st !j st.d.(!j) > 0.0 then
+               entering := !j;
+             incr j
+           done
          end
          else
            match prefer with
-           | Some pref ->
-             best_of (fun j -> pref.(j));
-             if !entering = -1 then best_of (fun _ -> true)
+           | Some _ ->
+             entering := best_priced st ~banned prefer;
+             if !entering = -1 then entering := best_priced st ~banned None
            | None ->
              let tried = ref 0 in
              while !entering = -1 && !tried < st.n do
@@ -1087,9 +1130,9 @@ module Blu = struct
                let stop = Stdlib.min st.n (start + seg) in
                let best = ref 0.0 in
                for j = start to stop - 1 do
-                 if eligible j then begin
-                   let dj = cost.(j) -. Sparse.col_dot st.a j st.y in
-                   let aj = attract j dj in
+                 if eligible st banned j then begin
+                   let dj = cost.(j) -. col_dot st.a j st.y in
+                   let aj = attract st j dj in
                    if aj > !best then begin
                      best := aj;
                      entering := j
@@ -1136,7 +1179,7 @@ module Blu = struct
                (not (is_artificial j))
                && st.vstat.(j) = at_lower
                && st.ub.(j) > 0.0
-               && Float.abs (Sparse.col_dot st.a j st.rho) > 1e-7
+               && Float.abs (col_dot st.a j st.rho) > 1e-7
              then begin
                found := j;
                raise Exit
@@ -1214,7 +1257,7 @@ module Blu = struct
             for j = 0 to st.n - 1 do
               if (not (is_art j)) && st.vstat.(j) <> basic && st.ub.(j) > 0.0
               then begin
-                let alpha = Sparse.col_dot st.a j st.rho in
+                let alpha = col_dot st.a j st.rho in
                 let ratio =
                   if !below then
                     if st.vstat.(j) = at_lower && alpha < -.eps then
@@ -1300,13 +1343,14 @@ module Blu = struct
       let targets = Array.init m target in
       st.c_factor <- st.c_factor + 1;
       let basis_out = Array.make m (-1) in
-      let f, dropped =
-        Sparse.Lu.factorize st.a ~targets ~crash:st.crash ~basis_out
+      (* A failed install leaves [st.f] half-built; the caller then
+         discards [st] for a fresh state. *)
+      let dropped =
+        Sparse.Lu.refactorize st.f st.a ~targets ~crash:st.crash ~basis_out
       in
       if dropped <> [] then None
       else begin
-        st.f <- f;
-        st.base_nnz <- Sparse.Lu.nnz f;
+        st.base_nnz <- Sparse.Lu.nnz st.f;
         Array.blit basis_out 0 st.basis 0 m;
         Array.fill st.vstat 0 st.n at_lower;
         Array.iter

@@ -86,8 +86,9 @@
     models share it and the exact reinstall applies across arbitrary
     rhs / bound / cost changes.  A warm basis whose structural dimension
     differs from the new model is ignored ([warm_used = false]).  Warm
-    starting never changes the reported optimum — only the pivot count
-    taken to reach it.  LU-engine bases live in the presolved row space,
+    starting never changes the optimal objective, but on a degenerate
+    optimum it can change which optimal vertex (primal values, duals) is
+    returned.  LU-engine bases live in the presolved row space,
     so a cross-engine transfer fails the shape check and degrades to
     guided Phase 1 — the structural variable ids still steer the
     pricing; within the LU engine, bases reinstall exactly across

@@ -10,7 +10,12 @@
     Entries within a column are stored in strictly increasing row order;
     duplicate [(row, col)] triplets are summed and exact zeros dropped at
     construction, so structurally equal inputs produce identical
-    storage — a prerequisite for the solver's deterministic pivoting. *)
+    storage — a prerequisite for the solver's deterministic pivoting.
+
+    Callers walk a column with an index loop over [colptr], [rowidx] and
+    [values].  There is deliberately no per-entry callback iterator:
+    without flambda the closure and every float passed to it allocate,
+    which on the simplex hot paths costs more than the arithmetic. *)
 
 type t = private {
   rows : int;
@@ -27,16 +32,16 @@ val of_triplets : rows:int -> cols:int -> (int * int * float) list -> t
     triplets.  Duplicates are summed; entries summing to exactly [0.] are
     dropped.  Raises [Invalid_argument] on out-of-range indices. *)
 
+val of_rows : rows:int -> cols:int -> int array -> int array -> float array -> t
+(** [of_rows ~rows ~cols rowptr colidx values] builds the matrix whose
+    row [i] holds entries [rowptr.(i) .. rowptr.(i+1) - 1] of [colidx]
+    and [values], in any column order, without going through triplets.
+    Column indices must be in range and distinct within a row, and
+    values nonzero, so the result equals what {!of_triplets} makes of
+    the same entries; raises [Invalid_argument] otherwise. *)
+
 val col_nnz : t -> int -> int
 (** Stored entries in one column. *)
-
-val iter_col : t -> int -> (int -> float -> unit) -> unit
-(** [iter_col a j f] applies [f row value] to each stored entry of
-    column [j], in increasing row order. *)
-
-val col_dot : t -> int -> float array -> float
-(** [col_dot a j y] is [Σ_i a(i,j) · y.(i)] — the sparse column dotted
-    against a dense vector of length [rows]. *)
 
 val scatter_col : t -> int -> float array -> unit
 (** [scatter_col a j x] adds column [j] into the dense vector [x]
@@ -75,10 +80,23 @@ module Lu : sig
   (** Factorize the distinct column set of [targets] (row pairing
       ignored).  Rows claimed by no surviving target take their [crash]
       identity column, which must be a singleton [±1]-style column on its
-      own row.  [basis_out.(r)] receives the column pivoted on row [r];
-      the returned list holds targets dropped as numerically singular
-      (empty on success).  [tau] is the relative pivot threshold
-      (default 0.1). *)
+      own row.  [basis_out.(r)] receives the column pivoted on row r; the
+      returned list holds targets dropped as numerically singular (empty
+      on success).  [tau] is the relative pivot threshold (default 0.1). *)
+
+  val refactorize :
+    ?tau:float ->
+    t ->
+    mat ->
+    targets:int array ->
+    crash:int array ->
+    basis_out:int array ->
+    int list
+  (** [refactorize f a ...] is {!factorize} into the storage of [f],
+      which it overwrites: the factor, its workspace and its op store
+      are reused, so a refactorization allocates only when the new
+      factor outgrows the old one.  [a] must have [f]'s row count.  The
+      result is the same factor {!factorize} builds. *)
 
   val ftran : t -> float array -> unit
   (** [x := B⁻¹x] in place.  Also caches the post-L/H spike used by

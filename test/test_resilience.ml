@@ -336,7 +336,7 @@ let test_ladder_deadline_regression () =
   let retained = Resilience.last_basis ladder in
   Alcotest.(check bool) "expired: basis survives" true (retained <> None);
   (* Epoch 3: budget restored — the warm re-solve lands on the same phi
-     as a cold solve (warm starting changes pivots, never results). *)
+     as a cold solve (a warm start keeps the optimal objective). *)
   let o3 =
     Resilience.plan_epoch ladder ~ts ~demands
       ~primary:(primary ~deadline:(Prete_util.Clock.deadline_after 3600.0))

@@ -165,52 +165,6 @@ module Simplex = Prete_lp.Simplex
 module Mip = Prete_lp.Mip
 module Solver_stats = Prete_lp.Solver_stats
 
-(* Random bounded LP, feasible by construction: continuous-uniform
-   coefficients (ties and degenerate optima have measure zero, so the
-   optimal basis — and with it the dual vector — is generically unique),
-   rhs placed around a known point x0 >= 0.  [slack] controls the
-   inequality slacks, so two calls with the same [rng] state and
-   different slacks differ in rhs only. *)
-let random_lp_coefs rng =
-  let nv = 2 + Prete_util.Rng.int rng 6 in
-  let nc = 2 + Prete_util.Rng.int rng 8 in
-  let x0 = Array.init nv (fun _ -> Prete_util.Rng.uniform rng 0.0 5.0) in
-  (* At most nv-1 equality rows: every Eq row passes through x0 by
-     construction, so nv or more of them are linearly dependent and the
-     optimal duals stop being unique — the engines could then disagree on
-     the dual vector while both being right. *)
-  let eq_left = ref (nv - 1) in
-  let rows =
-    Array.init nc (fun _ ->
-        let coefs = Array.init nv (fun _ -> Prete_util.Rng.uniform rng (-3.0) 3.0) in
-        let sense = Prete_util.Rng.int rng 3 in
-        let sense =
-          if sense = 2 && !eq_left <= 0 then Prete_util.Rng.int rng 2 else sense
-        in
-        if sense = 2 then decr eq_left;
-        (coefs, sense, Prete_util.Rng.uniform rng 0.5 5.0))
-  in
-  let dir = if Prete_util.Rng.int rng 2 = 0 then Lp.Minimize else Lp.Maximize in
-  let obj = Array.init nv (fun _ -> Prete_util.Rng.uniform rng (-2.0) 2.0) in
-  (nv, x0, rows, dir, obj)
-
-let build_lp ?(slack_scale = 1.0) (nv, x0, rows, dir, obj) =
-  let m = Lp.create () in
-  let xs = Array.init nv (fun j -> Lp.add_var m ~ub:50.0 (Printf.sprintf "x%d" j)) in
-  Array.iter
-    (fun (coefs, sense, slack) ->
-      let lhs0 = ref 0.0 in
-      Array.iteri (fun j c -> lhs0 := !lhs0 +. (c *. x0.(j))) coefs;
-      let terms = Array.to_list (Array.mapi (fun j c -> (c, xs.(j))) coefs) in
-      ignore
-        (match sense with
-        | 0 -> Lp.add_constraint m terms Lp.Le (!lhs0 +. (slack_scale *. slack))
-        | 1 -> Lp.add_constraint m terms Lp.Ge (!lhs0 -. (slack_scale *. slack))
-        | _ -> Lp.add_constraint m terms Lp.Eq !lhs0))
-    rows;
-  Lp.set_objective m dir (Array.to_list (Array.mapi (fun j c -> (c, xs.(j))) obj));
-  m
-
 (* [Simplex.certify] is the reference for every LU answer below: it
    needs no second engine, so it also covers sizes the dense oracle
    cannot reach. *)
@@ -229,8 +183,8 @@ let prop_engines_agree_feasible =
     QCheck.(small_int)
     (fun seed ->
       let rng = Prete_util.Rng.create (seed + 41_000) in
-      let spec = random_lp_coefs rng in
-      let m = build_lp spec in
+      let spec = Lp_gen.random_lp_coefs rng in
+      let m = Lp_gen.build_lp spec in
       match
         (Simplex.solve ~engine:Simplex.Dense m, Simplex.solve ~engine:Simplex.Lu m)
       with
@@ -247,8 +201,8 @@ let prop_engines_agree_infeasible =
     QCheck.(small_int)
     (fun seed ->
       let rng = Prete_util.Rng.create (seed + 53_000) in
-      let ((nv, _, _, _, _) as spec) = random_lp_coefs rng in
-      let m = build_lp spec in
+      let ((nv, _, _, _, _) as spec) = Lp_gen.random_lp_coefs rng in
+      let m = Lp_gen.build_lp spec in
       (* Contradictory pair on a fresh random direction: a.x >= r + 1 and
          a.x <= r - 1 can never both hold. *)
       let coefs = Array.init nv (fun _ -> Prete_util.Rng.uniform rng (-3.0) 3.0) in
@@ -275,8 +229,8 @@ let prop_engines_agree_unbounded =
     QCheck.(small_int)
     (fun seed ->
       let rng = Prete_util.Rng.create (seed + 67_000) in
-      let ((nv, _, _, dir, _) as spec) = random_lp_coefs rng in
-      let m = build_lp spec in
+      let ((nv, _, _, dir, _) as spec) = Lp_gen.random_lp_coefs rng in
+      let m = Lp_gen.build_lp spec in
       (* A ray the constraints never see: z is free upward and improves
          the objective, so the feasible instance becomes unbounded. *)
       let z = Lp.add_var m "z" in
@@ -334,8 +288,8 @@ let prop_lu_three_way_agree =
     QCheck.(small_int)
     (fun seed ->
       let rng = Prete_util.Rng.create (seed + 101_000) in
-      let spec = random_lp_coefs rng in
-      let m = build_lp spec in
+      let spec = Lp_gen.random_lp_coefs rng in
+      let m = Lp_gen.build_lp spec in
       match
         (Simplex.solve ~engine:Simplex.Lu m, Simplex.solve ~engine:Simplex.Dense m)
       with
@@ -356,21 +310,7 @@ let prop_lu_bound_respect =
          the bounded ratio test must stop at them (the dense engine
          sees the same bounds as explicit rows). *)
       let rng = Prete_util.Rng.create (seed + 113_000) in
-      let nv = 2 + Prete_util.Rng.int rng 5 in
-      let ub = Array.init nv (fun _ -> Prete_util.Rng.uniform rng 0.5 4.0) in
-      let m = Lp.create () in
-      let xs =
-        Array.init nv (fun j ->
-            Lp.add_var m ~ub:ub.(j) (Printf.sprintf "x%d" j))
-      in
-      let budget = Prete_util.Rng.uniform rng 1.0 6.0 in
-      ignore
-        (Lp.add_constraint m
-           (Array.to_list (Array.map (fun x -> (1.0, x)) xs))
-           Lp.Le budget);
-      Lp.set_objective m Lp.Maximize
-        (Array.to_list
-           (Array.map (fun x -> (Prete_util.Rng.uniform rng 0.5 3.0, x)) xs));
+      let m, ub = Lp_gen.bounded_lp rng in
       match
         (Simplex.solve ~engine:Simplex.Lu m, Simplex.solve ~engine:Simplex.Dense m)
       with
@@ -422,23 +362,7 @@ let prop_lu_presolve_roundtrip =
          column.  Both engines see the same salted model; the LU
          engine's answer must land back in the original space. *)
       let rng = Prete_util.Rng.create (seed + 127_000) in
-      let spec = random_lp_coefs rng in
-      let m = build_lp spec in
-      let nv, _, rows, _, _ = spec in
-      let (coefs0, sense0, _) = rows.(0) in
-      let dup_sense =
-        match sense0 with 0 -> Lp.Le | 1 -> Lp.Ge | _ -> Lp.Eq
-      in
-      let rhs0 = (Lp.Internal.constraints m).(0).Lp.Internal.rhs in
-      ignore
-        (Lp.add_constraint m
-           (Array.to_list
-              (Array.mapi (fun j c -> (1.7 *. c, Lp.var_of_index m j)) coefs0))
-           dup_sense (1.7 *. rhs0));
-      ignore
-        (Lp.add_constraint m [ (3.0, Lp.var_of_index m 0) ] Lp.Le (3.0 *. 49.9));
-      ignore (Lp.add_var m "pad");
-      ignore nv;
+      let m = Lp_gen.salted_lp rng in
       match
         (Simplex.solve ~engine:Simplex.Lu m, Simplex.solve ~engine:Simplex.Dense m)
       with
@@ -458,9 +382,9 @@ let prop_lu_warm_equals_cold =
     QCheck.(small_int)
     (fun seed ->
       let rng = Prete_util.Rng.create (seed + 139_000) in
-      let spec = random_lp_coefs rng in
-      let base = build_lp spec in
-      let perturbed = build_lp ~slack_scale:0.7 spec in
+      let spec = Lp_gen.random_lp_coefs rng in
+      let base = Lp_gen.build_lp spec in
+      let perturbed = Lp_gen.build_lp ~slack_scale:0.7 spec in
       match Simplex.solve ~engine:Simplex.Lu base with
       | Simplex.Optimal cold when certified base cold ->
         let cold_p =
